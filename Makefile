@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install lint lint-source test test-fast test-robustness test-verify test-exact test-service test-telemetry test-chaos test-sanitizer bench bench-tables bench-full experiments examples clean
+.PHONY: install lint lint-source test test-fast test-robustness test-verify test-exact test-service test-telemetry test-chaos test-sanitizer bench perfbench-selftest bench-tables bench-full experiments examples clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -78,6 +78,11 @@ test-exact:
 # (BENCH_seed.json); a deterministic regression exits 5.
 bench:
 	$(PYTHON) -m repro.cli bench --label run --compare BENCH_seed.json
+
+# The perfbench harness on tiny inputs: every workload's correctness
+# gate and the by-name wrapping of each traced layer (perfbench/).
+perfbench-selftest:
+	$(PYTHON) perfbench/selftest.py
 
 # pytest-benchmark tables reproducing the paper's result tables.
 bench-tables:

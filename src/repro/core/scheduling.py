@@ -15,20 +15,13 @@ period — e.g. the paper's 17-entry schedule for ``t1`` collapses to
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.appmodel.binding_aware import BindingAwareGraph
-from repro.resilience.budget import Budget, BudgetExceededError
+from repro.resilience.budget import Budget
 from repro.resilience.faults import fault_point
-from repro.throughput.constrained import (
-    StaticOrderSchedule,
-    busy_time,
-    gated_finish,
-)
-from repro.throughput.state_space import (
-    DEFAULT_MAX_STATES,
-    StateSpaceExplosionError,
-)
+from repro.throughput.constrained import StaticOrderSchedule
+from repro.throughput.kernel import DEFAULT_MAX_STATES, Kernel, Tile
 
 
 class SchedulingError(RuntimeError):
@@ -82,173 +75,38 @@ def build_static_order_schedules(
     :class:`Budget` bounds the list-scheduling execution cooperatively.
     """
     fault_point("scheduling.build", graph=bag.graph.name)
-    if budget is not None:
-        budget.checkpoint()
     if slices is None:
         slices = dict(bag.slices)
     bag.update_slices(slices)
-    graph = bag.graph
-
     tile_names = bag.binding.used_tiles()
-    tile_index = {name: i for i, name in enumerate(tile_names)}
-    wheels = [bag.architecture.tile(t).wheel for t in tile_names]
-    tile_slices = [slices[t] for t in tile_names]
-
-    actors = graph.actor_names
-    index = {a: i for i, a in enumerate(actors)}
-    times = [graph.actor(a).execution_time for a in actors]
-    channels = graph.channel_names
-    channel_index = {c: i for i, c in enumerate(channels)}
-    tokens = [graph.channel(c).tokens for c in channels]
-    inputs: List[List[Tuple[int, int]]] = []
-    outputs: List[List[Tuple[int, int]]] = []
-    for actor in actors:
-        inputs.append(
-            [(channel_index[c.name], c.consumption) for c in graph.in_channels(actor)]
+    kernel = Kernel.from_sdf(
+        bag.graph,
+        tiles=[
+            Tile(bag.architecture.tile(t).wheel, slices[t], name=t) for t in tile_names
+        ],
+        bound=bag.binding.assignment,
+        ready_list=True,
+    )
+    outcome = kernel.run(kernel.initial(), max_states, budget)
+    if outcome.deadlocked:
+        raise SchedulingError(
+            "execution of the binding-aware graph deadlocks; "
+            "no static-order schedule exists for this binding"
         )
-        outputs.append(
-            [(channel_index[c.name], c.production) for c in graph.out_channels(actor)]
+    result: Dict[str, StaticOrderSchedule] = {}
+    for tile, name in enumerate(tile_names):
+        started = [kernel.actors[a] for a in kernel.log[tile]]
+        # as many starts as completions fall into one period, because
+        # the recurrent state repeats the tile's firing in progress
+        cut = len(started) - sum(
+            outcome.period_firings[actor]
+            for actor, bound_to in bag.binding.assignment.items()
+            if bound_to == name
         )
-    tile_of: List[Optional[int]] = [None] * len(actors)
-    for actor_name, tile_name in bag.binding.assignment.items():
-        tile_of[index[actor_name]] = tile_index[tile_name]
-
-    ready: List[List[int]] = [[] for _ in tile_names]
-    in_ready = [False] * len(actors)
-    tile_active: List[Optional[Tuple[int, int]]] = [None] * len(tile_names)
-    unscheduled_active: List[List[int]] = [[] for _ in actors]
-    schedules: List[List[str]] = [[] for _ in tile_names]
-    time = 0
-    seen: Dict[Tuple, Tuple[int, Tuple[int, ...]]] = {}
-
-    def enabled(actor: int) -> bool:
-        return all(tokens[c] >= rate for c, rate in inputs[actor])
-
-    def consume(actor: int) -> None:
-        for c, rate in inputs[actor]:
-            tokens[c] -= rate
-
-    def produce(actor: int) -> None:
-        for c, rate in outputs[actor]:
-            tokens[c] += rate
-
-    def dispatch() -> None:
-        """Enqueue newly enabled actors; start firings on idle tiles."""
-        progress = True
-        while progress:
-            progress = False
-            for actor in range(len(actors)):
-                tile = tile_of[actor]
-                if tile is None:
-                    while enabled(actor):
-                        consume(actor)
-                        if times[actor] == 0:
-                            produce(actor)
-                        else:
-                            unscheduled_active[actor].append(times[actor])
-                        progress = True
-                elif not in_ready[actor] and enabled(actor):
-                    ready[tile].append(actor)
-                    in_ready[actor] = True
-                    progress = True
-            for tile in range(len(tile_names)):
-                while tile_active[tile] is None and ready[tile]:
-                    actor = ready[tile].pop(0)
-                    in_ready[actor] = False
-                    if not enabled(actor):
-                        continue
-                    consume(actor)
-                    schedules[tile].append(actors[actor])
-                    if times[actor] == 0:
-                        produce(actor)
-                    else:
-                        tile_active[tile] = (actor, times[actor])
-                    progress = True
-
-    while True:
-        if budget is not None:
-            try:
-                budget.tick()
-            except BudgetExceededError as error:
-                error.partial.setdefault("graph", bag.graph.name)
-                error.partial.setdefault("states_explored", len(seen))
-                raise
-        dispatch()
-        key = (
-            tuple(tokens),
-            tuple(tile_active),
-            tuple(tuple(r) for r in ready),
-            tuple(
-                (i, tuple(sorted(remaining)))
-                for i, remaining in enumerate(unscheduled_active)
-                if remaining
-            ),
-            tuple(time % w for w in wheels),
-        )
-        if key in seen:
-            first_time, first_lengths = seen[key]
-            result: Dict[str, StaticOrderSchedule] = {}
-            for tile, name in enumerate(tile_names):
-                transient = schedules[tile][: first_lengths[tile]]
-                periodic = schedules[tile][first_lengths[tile]:]
-                if not periodic:
-                    raise SchedulingError(
-                        f"actors on tile {name!r} never fire in the "
-                        "periodic phase (execution starves)"
-                    )
-                result[name] = compact_schedule(transient, periodic)
-            return result
-        seen[key] = (time, tuple(len(s) for s in schedules))
-        if len(seen) > max_states:
-            raise StateSpaceExplosionError(
-                f"list scheduling exceeded {max_states} states"
-            )
-
-        next_event: Optional[int] = None
-        for active in unscheduled_active:
-            for remaining in active:
-                candidate = time + remaining
-                if next_event is None or candidate < next_event:
-                    next_event = candidate
-        for tile, firing in enumerate(tile_active):
-            if firing is None:
-                continue
-            candidate = gated_finish(
-                time, firing[1], wheels[tile], tile_slices[tile]
-            )
-            if candidate is None:
-                continue
-            if next_event is None or candidate < next_event:
-                next_event = candidate
-        if next_event is None:
+        if cut == len(started):
             raise SchedulingError(
-                "execution of the binding-aware graph deadlocks; "
-                "no static-order schedule exists for this binding"
+                f"actors on tile {name!r} never fire in the "
+                "periodic phase (execution starves)"
             )
-
-        step = next_event - time
-        for actor, active in enumerate(unscheduled_active):
-            if not active:
-                continue
-            finished = 0
-            for i in range(len(active)):
-                active[i] -= step
-                if active[i] == 0:
-                    finished += 1
-            if finished:
-                unscheduled_active[actor] = [r for r in active if r > 0]
-                for _ in range(finished):
-                    produce(actor)
-        for tile, firing in enumerate(tile_active):
-            if firing is None:
-                continue
-            progressed = busy_time(
-                time, next_event, wheels[tile], tile_slices[tile]
-            )
-            remaining = firing[1] - progressed
-            if remaining <= 0:
-                produce(firing[0])
-                tile_active[tile] = None
-            else:
-                tile_active[tile] = (firing[0], remaining)
-        time = next_event
+        result[name] = compact_schedule(started[:cut], started[cut:])
+    return result

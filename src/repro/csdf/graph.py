@@ -178,6 +178,10 @@ class CSDFGraph:
     def in_channels(self, actor: str) -> List[CSDFChannel]:
         return [self._channels[c] for c in self._in[actor]]
 
+    def successors(self, actor: str) -> List[str]:
+        """Distinct successor actor names (insertion order)."""
+        return list(dict.fromkeys(c.dst for c in self.out_channels(actor)))
+
     def __len__(self) -> int:
         return len(self._actors)
 

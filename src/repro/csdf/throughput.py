@@ -1,10 +1,9 @@
 """Self-timed state-space throughput for CSDF graphs.
 
-Same construction as the SDF engine (tokens consumed at firing start,
-produced at completion, recurrence detection over the execution state)
-with the state extended by each actor's phase position; every active
-firing remembers the phase it started in, because production rates and
-durations are phase-dependent.
+The execution kernel of :mod:`repro.throughput.kernel` runs CSDF
+natively: every firing remembers the phase it started in, because
+production rates and durations are phase-dependent, and each actor's
+next phase is part of the hashed state.
 
 The driver decomposes into strongly connected components like the SDF
 driver: the iteration rate of the graph is the minimum over components
@@ -14,258 +13,45 @@ inter-component buffers).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Sequence
 
 from repro.csdf.analysis import csdf_repetition_vector
 from repro.csdf.graph import CSDFGraph
-from repro.throughput.state_space import (
-    DEFAULT_MAX_STATES,
-    StateSpaceExplosionError,
-)
+from repro.sdf.analysis import strongly_connected_components
+from repro.throughput.kernel import DEFAULT_MAX_STATES, ExecutionResult, Kernel
+from repro.throughput.state_space import ThroughputResult, scc_throughput
 
-Rate = Union[Fraction, float]
-
-
-@dataclass
-class CSDFThroughputResult:
-    """Iteration rate and per-actor firing rates of a CSDF graph."""
-
-    iteration_rate: Rate
-    gamma: Dict[str, int]
-    states_explored: int = 0
-
-    def of(self, actor: str) -> Rate:
-        """Steady-state firings per time unit of ``actor``."""
-        if self.iteration_rate == float("inf"):
-            return float("inf")
-        return self.iteration_rate * self.gamma[actor]
-
-    @property
-    def deadlocked(self) -> bool:
-        return self.iteration_rate == 0
-
-
-def _strongly_connected_components(graph: CSDFGraph) -> List[List[str]]:
-    index_counter = 0
-    indices: Dict[str, int] = {}
-    lowlink: Dict[str, int] = {}
-    on_stack: Set[str] = set()
-    stack: List[str] = []
-    components: List[List[str]] = []
-
-    successors = {
-        actor: sorted({c.dst for c in graph.out_channels(actor)})
-        for actor in graph.actor_names
-    }
-
-    for root in graph.actor_names:
-        if root in indices:
-            continue
-        work = [(root, iter(successors[root]))]
-        indices[root] = lowlink[root] = index_counter
-        index_counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, iterator = work[-1]
-            advanced = False
-            for succ in iterator:
-                if succ not in indices:
-                    indices[succ] = lowlink[succ] = index_counter
-                    index_counter += 1
-                    stack.append(succ)
-                    on_stack.add(succ)
-                    work.append((succ, iter(successors[succ])))
-                    advanced = True
-                    break
-                if succ in on_stack:
-                    lowlink[node] = min(lowlink[node], indices[succ])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-            if lowlink[node] == indices[node]:
-                component = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.append(member)
-                    if member == node:
-                        break
-                components.append(component)
-    return components
-
-
-class _CSDFEngine:
-    """Self-timed execution of one (bounded) CSDF sub-graph."""
-
-    def __init__(
-        self,
-        graph: CSDFGraph,
-        actor_names: Sequence[str],
-        auto_concurrency: bool,
-        max_states: int,
-    ) -> None:
-        self.max_states = max_states
-        self.auto_concurrency = auto_concurrency
-        keep = set(actor_names)
-        self._actors = [a for a in graph.actor_names if a in keep]
-        self._index = {a: i for i, a in enumerate(self._actors)}
-        self._phases = [graph.actor(a).execution_times for a in self._actors]
-        channels = [
-            c
-            for c in graph.channels
-            if c.src in keep and c.dst in keep
-        ]
-        self._tokens0 = [c.tokens for c in channels]
-        # per actor: [(channel idx, per-phase rates)]
-        self._inputs: List[List[Tuple[int, Tuple[int, ...]]]] = [
-            [] for _ in self._actors
-        ]
-        self._outputs: List[List[Tuple[int, Tuple[int, ...]]]] = [
-            [] for _ in self._actors
-        ]
-        for channel_index, channel in enumerate(channels):
-            self._outputs[self._index[channel.src]].append(
-                (channel_index, channel.productions)
-            )
-            self._inputs[self._index[channel.dst]].append(
-                (channel_index, channel.consumptions)
-            )
-
-    def run(self) -> Tuple[Optional[int], Dict[str, int], int]:
-        """(period, firings per period, states) — period None on deadlock."""
-        tokens = list(self._tokens0)
-        # phase position of the *next* firing start, per actor
-        next_phase = [0] * len(self._actors)
-        # active firings: list of (remaining, phase) per actor
-        active: List[List[Tuple[int, int]]] = [[] for _ in self._actors]
-        completed = [0] * len(self._actors)
-        time = 0
-        seen: Dict[Tuple, Tuple[int, Tuple[int, ...]]] = {}
-
-        def try_start(actor: int) -> bool:
-            if not self.auto_concurrency and active[actor]:
-                return False
-            phase = next_phase[actor]
-            phase_count = len(self._phases[actor])
-            for channel, rates in self._inputs[actor]:
-                if tokens[channel] < rates[phase]:
-                    return False
-            for channel, rates in self._inputs[actor]:
-                tokens[channel] -= rates[phase]
-            duration = self._phases[actor][phase]
-            next_phase[actor] = (phase + 1) % phase_count
-            if duration == 0:
-                for channel, rates in self._outputs[actor]:
-                    tokens[channel] += rates[phase]
-                completed[actor] += 1
-            else:
-                active[actor].append((duration, phase))
-            return True
-
-        while True:
-            guard = 0
-            progress = True
-            while progress:
-                progress = False
-                for actor in range(len(self._actors)):
-                    while try_start(actor):
-                        progress = True
-                        guard += 1
-                        if guard > 1_000_000:
-                            raise StateSpaceExplosionError(
-                                "unbounded firing burst in CSDF execution"
-                            )
-
-            key = (
-                tuple(tokens),
-                tuple(next_phase),
-                tuple(
-                    (i, tuple(sorted(entries)))
-                    for i, entries in enumerate(active)
-                    if entries
-                ),
-            )
-            if key in seen:
-                first_time, first_completed = seen[key]
-                period = time - first_time
-                firings = {
-                    name: completed[i] - first_completed[i]
-                    for i, name in enumerate(self._actors)
-                }
-                return period, firings, len(seen)
-            seen[key] = (time, tuple(completed))
-            if len(seen) > self.max_states:
-                raise StateSpaceExplosionError(
-                    f"exceeded {self.max_states} states in CSDF execution"
-                )
-
-            remaining_values = [
-                remaining for entries in active for remaining, _ in entries
-            ]
-            if not remaining_values:
-                return None, {}, len(seen)
-            step = min(remaining_values)
-            time += step
-            for actor, entries in enumerate(active):
-                if not entries:
-                    continue
-                finished: List[int] = []
-                still: List[Tuple[int, int]] = []
-                for remaining, phase in entries:
-                    remaining -= step
-                    if remaining == 0:
-                        finished.append(phase)
-                    else:
-                        still.append((remaining, phase))
-                active[actor] = still
-                if finished:
-                    for phase in finished:
-                        for channel, rates in self._outputs[actor]:
-                            tokens[channel] += rates[phase]
-                    completed[actor] += len(finished)
+#: the SDF result type, under its former CSDF name
+CSDFThroughputResult = ThroughputResult
 
 
 def csdf_throughput(
     graph: CSDFGraph,
     auto_concurrency: bool = True,
     max_states: int = DEFAULT_MAX_STATES,
-) -> CSDFThroughputResult:
+) -> ThroughputResult:
     """Self-timed throughput of a CSDF graph (SCC-wise, exact)."""
-    gamma = csdf_repetition_vector(graph)
     cycles = csdf_repetition_vector(graph, firings=False)
-    overall: Rate = float("inf")
-    states = 0
-    for component in _strongly_connected_components(graph):
-        cyclic = len(component) > 1 or any(
-            c.is_self_loop for c in graph.out_channels(component[0])
+
+    def execute(component: Sequence[str], _: object) -> ExecutionResult:
+        members = set(component)
+        kernel = Kernel(
+            graph.name,
+            {a.name: a.execution_times for a in graph.actors if a.name in members},
+            [
+                (c.src, c.dst, c.productions, c.consumptions, c.tokens)
+                for c in graph.channels
+                if c.src in members and c.dst in members
+            ],
+            serial=not auto_concurrency,
         )
-        if not cyclic:
-            if not auto_concurrency:
-                actor = graph.actor(component[0])
-                cycle_time = sum(actor.execution_times)
-                if cycle_time > 0:
-                    rate = Fraction(1, cycle_time * cycles[actor.name])
-                    if rate < overall:
-                        overall = rate
-            continue
-        engine = _CSDFEngine(graph, component, auto_concurrency, max_states)
-        period, firings, explored = engine.run()
-        states += explored
-        representative = component[0]
-        if period is None or period == 0:
-            rate = Fraction(0) if period is None else float("inf")
-        else:
-            rate = Fraction(
-                firings.get(representative, 0), period
-            ) / gamma[representative]
-        if rate < overall:
-            overall = rate
-    return CSDFThroughputResult(
-        iteration_rate=overall, gamma=gamma, states_explored=states
+        return kernel.run(kernel.initial(), max_states)
+
+    return scc_throughput(
+        graph,
+        strongly_connected_components(graph),
+        csdf_repetition_vector(graph),
+        lambda a: sum(graph.actor(a).execution_times) * cycles[a],
+        execute,
+        auto_concurrency,
     )

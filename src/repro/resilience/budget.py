@@ -180,6 +180,14 @@ class Budget:
             self._since_clock = 0
             self.checkpoint()
 
+    def usage(self) -> Dict[str, Any]:
+        """What this budget has charged so far, as checkpoints record it."""
+        return {
+            "states_charged": self.states_charged,
+            "checks_charged": self.checks_charged,
+            "elapsed": self.elapsed(),
+        }
+
     def checkpoint(self) -> None:
         """Immediate cancellation + wall-clock check (coarse boundaries)."""
         if self._cancelled:

@@ -12,13 +12,22 @@ criticality estimates.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from typing import Dict, List, Protocol, Set
 
 from repro.sdf.graph import SDFGraph
 from repro.sdf.repetition import repetition_vector
 
 
-def strongly_connected_components(graph: SDFGraph) -> List[List[str]]:
+class Digraph(Protocol):
+    """What Tarjan's algorithm reads: an SDF or a CSDF graph."""
+
+    @property
+    def actor_names(self) -> List[str]: ...
+
+    def successors(self, actor: str) -> List[str]: ...
+
+
+def strongly_connected_components(graph: Digraph) -> List[List[str]]:
     """Tarjan's algorithm (iterative); components in reverse topological order.
 
     Each component is a list of actor names in discovery order.

@@ -27,7 +27,6 @@ large time wheels cost nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from time import perf_counter
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -37,89 +36,18 @@ from repro.resilience.budget import Budget, BudgetExceededError
 from repro.resilience.faults import fault_point
 from repro.sdf.graph import SDFGraph
 from repro.sdf.serialization import graph_to_dict
-from repro.throughput.state_space import (
+from repro.throughput.kernel import (  # busy_time, gated_finish: re-exported
     DEFAULT_MAX_STATES,
-    StateSpaceExplosionError,
+    ExecutionResult,
+    FiringBurstError,
+    Frontier,
+    Kernel,
+    Tile,
+    busy_time,
+    gated_finish,
+    seen_from_json,
+    seen_to_json,
 )
-
-
-def _ckey_to_jsonable(key: Tuple) -> List:
-    """One hashed constrained-execution state as JSON-ready nested lists."""
-    tokens, unscheduled, tile_active, positions, phases = key
-    return [
-        list(tokens),
-        [[i, list(remaining)] for i, remaining in unscheduled],
-        [list(firing) if firing is not None else None for firing in tile_active],
-        list(positions),
-        list(phases),
-    ]
-
-
-def _ckey_from_jsonable(data: Sequence) -> Tuple:
-    """Inverse of :func:`_ckey_to_jsonable`."""
-    tokens, unscheduled, tile_active, positions, phases = data
-    return (
-        tuple(tokens),
-        tuple((i, tuple(remaining)) for i, remaining in unscheduled),
-        tuple(
-            tuple(firing) if firing is not None else None
-            for firing in tile_active
-        ),
-        tuple(positions),
-        tuple(phases),
-    )
-
-
-def busy_time(
-    start: int, end: int, wheel: int, slice_size: int, slice_start: int = 0
-) -> int:
-    """Time units in ``[start, end)`` inside the application's slice.
-
-    The slice occupies ``[k*wheel + slice_start, k*wheel + slice_start +
-    slice_size)`` for every rotation ``k`` (``slice_start = 0`` is the
-    paper's aligned-wheels assumption; non-zero offsets place several
-    applications in disjoint windows of the same wheel).
-    """
-    if slice_size >= wheel:
-        return end - start
-
-    def busy_until(t: int) -> int:
-        rotations, position = divmod(t - slice_start, wheel)
-        return rotations * slice_size + min(position, slice_size)
-
-    return busy_until(end) - busy_until(start)
-
-
-def gated_finish(
-    start: int,
-    work: int,
-    wheel: int,
-    slice_size: int,
-    slice_start: int = 0,
-) -> Optional[int]:
-    """Earliest instant >= ``start`` by which ``work`` busy units elapse.
-
-    Returns None when ``slice_size`` is 0 (the firing can never finish).
-    """
-    if work <= 0:
-        return start
-    if slice_size >= wheel:
-        return start + work
-    if slice_size == 0:
-        return None
-    position = (start - slice_start) % wheel
-    remaining = work
-    if position < slice_size:
-        available = slice_size - position
-        if remaining <= available:
-            return start + remaining
-        remaining -= available
-        base = start + (wheel - position)
-    else:
-        base = start + (wheel - position)
-    full_rotations = (remaining - 1) // slice_size
-    leftover = remaining - full_rotations * slice_size
-    return base + full_rotations * wheel + leftover
 
 
 @dataclass(frozen=True)
@@ -192,23 +120,10 @@ class TileConstraints:
 
 
 @dataclass
-class ConstrainedThroughputResult:
+class ConstrainedThroughputResult(ExecutionResult):
     """Steady-state throughput under schedule and TDMA constraints."""
 
-    period: Optional[int]
-    period_firings: Dict[str, int]
-    transient_time: int
-    states_explored: int
-    deadlocked: bool = False
-    #: compact, independently replayable evidence of the periodic phase
-    #: (see ``docs/VERIFICATION.md``); None for deadlocked executions
-    certificate: Optional[Dict[str, Any]] = None
-
-    def of(self, actor: str) -> Fraction:
-        """Firings of ``actor`` per time unit in the periodic phase."""
-        if self.deadlocked or not self.period:
-            return Fraction(0)
-        return Fraction(self.period_firings.get(actor, 0), self.period)
+    of = ExecutionResult.actor_throughput
 
 
 @dataclass(frozen=True)
@@ -225,423 +140,6 @@ class TraceEvent:
     tile: Optional[str]
     start: int
     end: int
-
-
-class _ConstrainedEngine:
-    """Event-driven execution of a binding-aware graph under constraints."""
-
-    def __init__(
-        self,
-        graph: SDFGraph,
-        tiles: Sequence[TileConstraints],
-        max_states: int,
-        trace: Optional[List[TraceEvent]] = None,
-        budget: Optional[Budget] = None,
-    ) -> None:
-        self.graph = graph
-        self.tiles = list(tiles)
-        self.max_states = max_states
-        self.trace = trace
-        self.budget = budget
-
-        self._actors = graph.actor_names
-        self._index = {a: i for i, a in enumerate(self._actors)}
-        self._times = [graph.actor(a).execution_time for a in self._actors]
-        channels = graph.channel_names
-        channel_index = {c: i for i, c in enumerate(channels)}
-        self._initial_tokens = [graph.channel(c).tokens for c in channels]
-        self._inputs: List[List[Tuple[int, int]]] = []
-        self._outputs: List[List[Tuple[int, int]]] = []
-        for actor in self._actors:
-            self._inputs.append(
-                [
-                    (channel_index[c.name], c.consumption)
-                    for c in graph.in_channels(actor)
-                ]
-            )
-            self._outputs.append(
-                [
-                    (channel_index[c.name], c.production)
-                    for c in graph.out_channels(actor)
-                ]
-            )
-        # actor index -> tile index (or None for unscheduled actors)
-        self._tile_of: List[Optional[int]] = [None] * len(self._actors)
-        for tile_idx, tile in enumerate(self.tiles):
-            for actor in tile.schedule.actors:
-                if actor not in self._index:
-                    raise KeyError(
-                        f"schedule of tile {tile.name!r} mentions unknown "
-                        f"actor {actor!r}"
-                    )
-                if self._tile_of[self._index[actor]] is not None:
-                    raise ValueError(
-                        f"actor {actor!r} scheduled on more than one tile"
-                    )
-                self._tile_of[self._index[actor]] = tile_idx
-
-    # -- helpers -------------------------------------------------------
-    def _tokens_available(self, actor: int, tokens: List[int]) -> bool:
-        return all(tokens[c] >= rate for c, rate in self._inputs[actor])
-
-    def _consume(self, actor: int, tokens: List[int]) -> None:
-        for channel, rate in self._inputs[actor]:
-            tokens[channel] -= rate
-
-    def _produce(self, actor: int, tokens: List[int]) -> None:
-        for channel, rate in self._outputs[actor]:
-            tokens[channel] += rate
-
-    def _record(
-        self, result: ConstrainedThroughputResult, started: float, zero_firings: int
-    ) -> None:
-        """Export one constrained execution's statistics."""
-        obs = get_metrics()
-        obs.counter("constrained.executions")
-        obs.counter("constrained.states", result.states_explored)
-        obs.counter("constrained.zero_time_firings", zero_firings)
-        obs.gauge("constrained.hash_set_size", result.states_explored)
-        obs.gauge("constrained.transient_time", result.transient_time)
-        obs.gauge("constrained.period", result.period or 0)
-        if result.deadlocked:
-            obs.counter("constrained.deadlocks")
-        obs.observe("constrained.execute", perf_counter() - started)
-
-    def _snapshot(
-        self,
-        time: int,
-        tokens: List[int],
-        unscheduled_active: List[List[int]],
-        tile_active: List[Optional[Tuple[int, int]]],
-        schedule_pos: List[int],
-        completed: List[int],
-        zero_firings: int,
-        seen: Dict[Tuple, Tuple[int, Tuple[int, ...]]],
-    ) -> Dict[str, Any]:
-        """The full frontier as a JSON-serialisable dict (see state_space)."""
-        return {
-            "time": time,
-            "tokens": list(tokens),
-            "unscheduled_active": [list(r) for r in unscheduled_active],
-            "tile_active": [
-                list(firing) if firing is not None else None
-                for firing in tile_active
-            ],
-            "schedule_pos": list(schedule_pos),
-            "completed": list(completed),
-            "zero_firings": zero_firings,
-            "seen": [
-                [_ckey_to_jsonable(key), [when, list(counts)]]
-                for key, (when, counts) in seen.items()
-            ],
-        }
-
-    def run(
-        self, resume: Optional[Dict[str, Any]] = None
-    ) -> ConstrainedThroughputResult:
-        obs = get_metrics()
-        tr = get_trace()
-        fault_point("constrained.run", graph=self.graph.name)
-        started = perf_counter() if obs.enabled else 0.0
-        trace_started = tr.now() if tr.enabled else 0.0
-        budget = self.budget
-        if budget is not None:
-            budget.checkpoint()
-        if resume is None:
-            zero_firings = 0
-            tokens = list(self._initial_tokens)
-            # remaining *work* per active firing; unscheduled actors may
-            # have several concurrent firings, tiles at most one.
-            unscheduled_active: List[List[int]] = [[] for _ in self._actors]
-            tile_active: List[Optional[Tuple[int, int]]] = (
-                [None] * len(self.tiles)
-            )
-            schedule_pos = [0] * len(self.tiles)
-            completed = [0] * len(self._actors)
-            time = 0
-            seen: Dict[Tuple, Tuple[int, Tuple[int, ...]]] = {}
-        else:
-            zero_firings = resume["zero_firings"]
-            tokens = list(resume["tokens"])
-            unscheduled_active = [list(r) for r in resume["unscheduled_active"]]
-            tile_active = [
-                tuple(firing) if firing is not None else None
-                for firing in resume["tile_active"]
-            ]
-            schedule_pos = list(resume["schedule_pos"])
-            completed = list(resume["completed"])
-            time = resume["time"]
-            seen = {
-                _ckey_from_jsonable(key): (when, tuple(counts))
-                for key, (when, counts) in resume["seen"]
-            }
-        # trace bookkeeping lives outside the hashed state: firings of
-        # one actor all take the same time, so FIFO start matching is
-        # exact for concurrent unscheduled firings.  (Traces do not
-        # survive a checkpoint/resume; resumed runs pass trace=None.)
-        unscheduled_starts: List[List[int]] = [[] for _ in self._actors]
-        tile_started: List[int] = [0] * len(self.tiles)
-
-        def record(actor: int, tile_idx: Optional[int], start: int, end: int) -> None:
-            if self.trace is not None:
-                self.trace.append(
-                    TraceEvent(
-                        actor=self._actors[actor],
-                        tile=None if tile_idx is None else self.tiles[tile_idx].name,
-                        start=start,
-                        end=end,
-                    )
-                )
-
-        def start_enabled() -> None:
-            nonlocal zero_firings
-            progress = True
-            zero_guard = 0
-            while progress:
-                progress = False
-                # unscheduled actors (connection/alignment actors)
-                for actor in range(len(self._actors)):
-                    if self._tile_of[actor] is not None:
-                        continue
-                    while self._tokens_available(actor, tokens):
-                        self._consume(actor, tokens)
-                        if self._times[actor] == 0:
-                            self._produce(actor, tokens)
-                            completed[actor] += 1
-                            record(actor, None, time, time)
-                            zero_guard += 1
-                            zero_firings += 1
-                            if zero_guard > 1_000_000:
-                                get_metrics().counter(
-                                    "constrained.zero_time_guard_hits"
-                                )
-                                raise StateSpaceExplosionError(
-                                    "zero-duration firing loop in "
-                                    "constrained execution"
-                                )
-                        else:
-                            unscheduled_active[actor].append(self._times[actor])
-                            unscheduled_starts[actor].append(time)
-                        progress = True
-                # scheduled actors: head of static order, idle tile
-                for tile_idx, tile in enumerate(self.tiles):
-                    if tile_active[tile_idx] is not None:
-                        continue
-                    actor_name = tile.schedule.entry(schedule_pos[tile_idx])
-                    actor = self._index[actor_name]
-                    if self._tokens_available(actor, tokens):
-                        self._consume(actor, tokens)
-                        schedule_pos[tile_idx] += 1
-                        if self._times[actor] == 0:
-                            self._produce(actor, tokens)
-                            completed[actor] += 1
-                            record(actor, tile_idx, time, time)
-                        else:
-                            tile_active[tile_idx] = (actor, self._times[actor])
-                            tile_started[tile_idx] = time
-                        progress = True
-
-        while True:
-            if budget is not None:
-                try:
-                    budget.tick()
-                except BudgetExceededError as error:
-                    error.partial.setdefault("graph", self.graph.name)
-                    error.partial.setdefault("states_explored", len(seen))
-                    error.partial["engine_state"] = self._snapshot(
-                        time,
-                        tokens,
-                        unscheduled_active,
-                        tile_active,
-                        schedule_pos,
-                        completed,
-                        zero_firings,
-                        seen,
-                    )
-                    raise
-            start_enabled()
-            key = (
-                tuple(tokens),
-                tuple(
-                    (i, tuple(sorted(remaining)))
-                    for i, remaining in enumerate(unscheduled_active)
-                    if remaining
-                ),
-                tuple(tile_active),
-                tuple(
-                    tile.schedule.canonical_position(schedule_pos[i])
-                    for i, tile in enumerate(self.tiles)
-                ),
-                tuple(time % tile.wheel for tile in self.tiles),
-            )
-            if key in seen:
-                first_time, first_completed = seen[key]
-                period = time - first_time
-                firings = {
-                    name: completed[i] - first_completed[i]
-                    for i, name in enumerate(self._actors)
-                }
-                result = ConstrainedThroughputResult(
-                    period=period,
-                    period_firings=firings,
-                    transient_time=first_time,
-                    states_explored=len(seen),
-                    certificate={
-                        "format": "repro-certificate",
-                        "version": 1,
-                        "kind": "constrained",
-                        "graph": self.graph.name,
-                        "actors": list(self._actors),
-                        "channels": list(self.graph.channel_names),
-                        "execution_times": list(self._times),
-                        "tiles": [
-                            {
-                                "name": tile.name,
-                                "wheel": tile.wheel,
-                                "slice_size": tile.slice_size,
-                                "slice_start": tile.slice_start,
-                                "transient": list(tile.schedule.transient),
-                                "periodic": list(tile.schedule.periodic),
-                                "position": tile.schedule.canonical_position(
-                                    schedule_pos[i]
-                                ),
-                            }
-                            for i, tile in enumerate(self.tiles)
-                        ],
-                        "window_start": time,
-                        "period": period,
-                        "firings": dict(firings),
-                        "tokens": list(tokens),
-                        "unscheduled_active": [
-                            sorted(remaining)
-                            for remaining in unscheduled_active
-                        ],
-                        "tile_active": [
-                            list(firing) if firing is not None else None
-                            for firing in tile_active
-                        ],
-                    },
-                )
-                if obs.enabled:
-                    self._record(result, started, zero_firings)
-                if tr.enabled:
-                    tr.complete(
-                        "engine",
-                        "constrained.execute",
-                        trace_started,
-                        tr.now(),
-                        graph=self.graph.name,
-                        states=len(seen),
-                        period=period,
-                        transient_time=first_time,
-                    )
-                return result
-            seen[key] = (time, tuple(completed))
-            if len(seen) > self.max_states:
-                raise StateSpaceExplosionError(
-                    f"exceeded {self.max_states} states in constrained "
-                    f"execution of {self.graph.name!r}"
-                )
-
-            # next completion event
-            next_event: Optional[int] = None
-            for active in unscheduled_active:
-                for remaining in active:
-                    candidate = time + remaining
-                    if next_event is None or candidate < next_event:
-                        next_event = candidate
-            for tile_idx, firing in enumerate(tile_active):
-                if firing is None:
-                    continue
-                tile = self.tiles[tile_idx]
-                candidate = gated_finish(
-                    time,
-                    firing[1],
-                    tile.wheel,
-                    tile.slice_size,
-                    tile.slice_start,
-                )
-                if candidate is None:
-                    continue  # zero slice: this firing never finishes
-                if next_event is None or candidate < next_event:
-                    next_event = candidate
-            if next_event is None:
-                result = ConstrainedThroughputResult(
-                    period=None,
-                    period_firings={},
-                    transient_time=time,
-                    states_explored=len(seen),
-                    deadlocked=True,
-                )
-                if obs.enabled:
-                    self._record(result, started, zero_firings)
-                if tr.enabled:
-                    tr.complete(
-                        "engine",
-                        "constrained.execute",
-                        trace_started,
-                        tr.now(),
-                        graph=self.graph.name,
-                        states=len(seen),
-                        deadlocked=True,
-                    )
-                return result
-
-            if tr.enabled:
-                # one instant per tile whose TDMA wheel completes at
-                # least one rotation inside this event-to-event step
-                for tile in self.tiles:
-                    rotations = next_event // tile.wheel - time // tile.wheel
-                    if rotations > 0:
-                        tr.instant(
-                            "tdma",
-                            "wheel.rotation",
-                            tile=tile.name,
-                            rotations=rotations,
-                            model_time=next_event,
-                        )
-
-            step = next_event - time
-            for actor, active in enumerate(unscheduled_active):
-                if not active:
-                    continue
-                finished = 0
-                for i in range(len(active)):
-                    active[i] -= step
-                    if active[i] == 0:
-                        finished += 1
-                if finished:
-                    unscheduled_active[actor] = [r for r in active if r > 0]
-                    for _ in range(finished):
-                        self._produce(actor, tokens)
-                        if unscheduled_starts[actor]:
-                            record(
-                                actor,
-                                None,
-                                unscheduled_starts[actor].pop(0),
-                                next_event,
-                            )
-                    completed[actor] += finished
-            for tile_idx, firing in enumerate(tile_active):
-                if firing is None:
-                    continue
-                tile = self.tiles[tile_idx]
-                progressed = busy_time(
-                    time,
-                    next_event,
-                    tile.wheel,
-                    tile.slice_size,
-                    tile.slice_start,
-                )
-                remaining = firing[1] - progressed
-                if remaining <= 0:
-                    self._produce(firing[0], tokens)
-                    completed[firing[0]] += 1
-                    record(firing[0], tile_idx, tile_started[tile_idx], next_event)
-                    tile_active[tile_idx] = None
-                else:
-                    tile_active[tile_idx] = (firing[0], remaining)
-            time = next_event
 
 
 def constrained_throughput(
@@ -674,10 +172,11 @@ def constrained_throughput(
     continues the interrupted exploration bit-identically.  Traces do
     not survive a resume.
     """
+    obs = get_metrics()
+    tr = get_trace()
     for tile in tiles:
         if tile.slice_size == 0 and tile.schedule.actors:
-            get_metrics().counter("constrained.zero_slice_shortcuts")
-            tr = get_trace()
+            obs.counter("constrained.zero_slice_shortcuts")
             if tr.enabled:
                 tr.instant(
                     "tdma",
@@ -692,36 +191,148 @@ def constrained_throughput(
                 states_explored=0,
                 deadlocked=True,
             )
-    engine = _ConstrainedEngine(
-        graph, tiles, max_states, trace=trace, budget=budget
+
+    def record(actor: str, tile: Optional[str], start: int, end: int) -> None:
+        assert trace is not None
+        trace.append(TraceEvent(actor=actor, tile=tile, start=start, end=end))
+
+    def rotations(time: int, next_time: int) -> None:
+        # one instant per tile whose TDMA wheel completes at least one
+        # rotation inside this event-to-event step
+        for tile in tiles:
+            count = next_time // tile.wheel - time // tile.wheel
+            if count > 0:
+                tr.instant(
+                    "tdma",
+                    "wheel.rotation",
+                    tile=tile.name,
+                    rotations=count,
+                    model_time=next_time,
+                )
+
+    kernel = Kernel.from_sdf(
+        graph,
+        tiles=[
+            Tile(
+                tile.wheel,
+                tile.slice_size,
+                tile.slice_start,
+                tile.name,
+                tile.schedule.transient + tile.schedule.periodic,
+                len(tile.schedule.transient),
+            )
+            for tile in tiles
+        ],
+        on_firing=record if trace is not None else None,
+        on_step=rotations if tr.enabled else None,
     )
+    fault_point("constrained.run", graph=graph.name)
+    started = perf_counter() if obs.enabled else 0.0
+    trace_started = tr.now() if tr.enabled else 0.0
+    state = kernel.initial()
+    if resume is not None:
+        engine = resume["engine_state"]
+        state.time = engine["time"]
+        state.tokens = list(engine["tokens"])
+        state.active = [list(r) for r in engine["unscheduled_active"]]
+        state.tile_active = [
+            tuple(firing) if firing is not None else None
+            for firing in engine["tile_active"]
+        ]
+        state.dispatch = [
+            tile.schedule.canonical_position(position)
+            for tile, position in zip(tiles, engine["schedule_pos"])
+        ]
+        state.completed = list(engine["completed"])
+        state.zero_starts = engine["zero_firings"]
+        state.seen = seen_from_json(engine["seen"])
     try:
-        return engine.run(resume=resume.get("engine_state") if resume else None)
+        result = ConstrainedThroughputResult(
+            **vars(kernel.run(state, max_states, budget))
+        )
+    except FiringBurstError:
+        obs.counter("constrained.zero_time_guard_hits")
+        raise
     except BudgetExceededError as error:
         error.partial["checkpoint"] = {
             "format": "repro-checkpoint",
             "version": 1,
             "kind": "constrained",
             "graph": graph_to_dict(graph),
-            "tiles": [
-                {
-                    "name": tile.name,
-                    "wheel": tile.wheel,
-                    "slice_size": tile.slice_size,
-                    "slice_start": tile.slice_start,
-                    "transient": list(tile.schedule.transient),
-                    "periodic": list(tile.schedule.periodic),
-                }
-                for tile in tiles
-            ],
+            "tiles": [_describe(tile) for tile in tiles],
             "max_states": max_states,
-            "engine_state": error.partial.get("engine_state"),
-            "budget": {
-                "states_charged": budget.states_charged,
-                "checks_charged": budget.checks_charged,
-                "elapsed": budget.elapsed(),
-            }
-            if budget is not None
-            else None,
+            "engine_state": {
+                "time": state.time,
+                "tokens": list(state.tokens),
+                "unscheduled_active": [list(f) for f in state.active],
+                "tile_active": _tile_active(state),
+                "schedule_pos": list(state.dispatch),
+                "completed": list(state.completed),
+                "zero_firings": state.zero_starts,
+                "seen": seen_to_json(state.seen),
+            },
+            "budget": budget.usage() if budget is not None else None,
         }
         raise
+    if not result.deadlocked:
+        result.certificate = {
+            "format": "repro-certificate",
+            "version": 1,
+            "kind": "constrained",
+            "graph": graph.name,
+            "actors": list(kernel.actors),
+            "channels": list(graph.channel_names),
+            "execution_times": [t for (t,) in kernel.times],
+            "tiles": [
+                dict(_describe(tile), position=state.dispatch[i])
+                for i, tile in enumerate(tiles)
+            ],
+            "window_start": state.time,
+            "period": result.period,
+            "firings": dict(result.period_firings),
+            "tokens": list(state.tokens),
+            "unscheduled_active": [sorted(f) for f in state.active],
+            "tile_active": _tile_active(state),
+        }
+    if obs.enabled:
+        obs.counter("constrained.executions")
+        obs.counter("constrained.states", result.states_explored)
+        obs.counter("constrained.zero_time_firings", state.zero_starts)
+        obs.gauge("constrained.hash_set_size", result.states_explored)
+        obs.gauge("constrained.transient_time", result.transient_time)
+        obs.gauge("constrained.period", result.period or 0)
+        if result.deadlocked:
+            obs.counter("constrained.deadlocks")
+        obs.observe("constrained.execute", perf_counter() - started)
+    if tr.enabled:
+        detail: Dict[str, Any] = (
+            {"deadlocked": True}
+            if result.deadlocked
+            else {"period": result.period, "transient_time": result.transient_time}
+        )
+        tr.complete(
+            "engine",
+            "constrained.execute",
+            trace_started,
+            tr.now(),
+            graph=graph.name,
+            states=result.states_explored,
+            **detail,
+        )
+    return result
+
+
+def _describe(tile: TileConstraints) -> Dict[str, Any]:
+    """A tile as checkpoints and certificates record it."""
+    return {
+        "name": tile.name,
+        "wheel": tile.wheel,
+        "slice_size": tile.slice_size,
+        "slice_start": tile.slice_start,
+        "transient": list(tile.schedule.transient),
+        "periodic": list(tile.schedule.periodic),
+    }
+
+
+def _tile_active(state: Frontier) -> List[Optional[List[int]]]:
+    return [list(f) if f is not None else None for f in state.tile_active]

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from time import perf_counter
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.obs import get_metrics
 from repro.obs.trace import get_trace
@@ -32,32 +32,18 @@ from repro.sdf.analysis import strongly_connected_components
 from repro.sdf.graph import SDFGraph
 from repro.sdf.repetition import repetition_vector
 from repro.sdf.serialization import graph_to_dict
+from repro.throughput.kernel import (  # StateSpaceExplosionError: re-exported
+    DEFAULT_MAX_STATES,
+    ExecutionResult,
+    FiringBurstError,
+    Frontier,
+    Kernel,
+    StateSpaceExplosionError,
+    seen_from_json,
+    seen_to_json,
+)
 
 Rate = Union[Fraction, float]
-
-#: Default cap on explored states before the engine gives up.
-DEFAULT_MAX_STATES = 2_000_000
-#: Cap on zero-duration firing completions at a single time instant.
-_ZERO_TIME_GUARD = 1_000_000
-
-
-class StateSpaceExplosionError(RuntimeError):
-    """Raised when exploration exceeds the configured state budget."""
-
-
-def _state_key_to_jsonable(key: Tuple) -> List:
-    """One hashed exploration state as JSON-serialisable nested lists."""
-    tokens, active = key
-    return [list(tokens), [[i, list(remaining)] for i, remaining in active]]
-
-
-def _state_key_from_jsonable(data: Sequence) -> Tuple:
-    """Inverse of :func:`_state_key_to_jsonable`."""
-    tokens, active = data
-    return (
-        tuple(tokens),
-        tuple((i, tuple(remaining)) for i, remaining in active),
-    )
 
 
 def rate_to_str(rate: Rate) -> str:
@@ -72,31 +58,6 @@ def rate_from_str(text: str) -> Rate:
     if text == "inf":
         return float("inf")
     return Fraction(text)
-
-
-@dataclass
-class ExecutionResult:
-    """Outcome of one self-timed execution until recurrence (or deadlock).
-
-    ``period`` is the duration of the periodic phase, ``period_firings``
-    maps each actor to its number of completed firings inside one period.
-    ``deadlocked`` executions have ``period = None``.
-    """
-
-    transient_time: int
-    period: Optional[int]
-    period_firings: Dict[str, int]
-    states_explored: int
-    deadlocked: bool = False
-    #: compact, independently replayable evidence of the periodic phase
-    #: (see ``docs/VERIFICATION.md``); None for deadlocked executions
-    certificate: Optional[Dict[str, Any]] = None
-
-    def actor_throughput(self, actor: str) -> Fraction:
-        """Firings of ``actor`` per time unit in the steady state."""
-        if self.deadlocked or not self.period:
-            return Fraction(0)
-        return Fraction(self.period_firings.get(actor, 0), self.period)
 
 
 @dataclass
@@ -141,7 +102,8 @@ class SelfTimedExecution:
     strongly connected graphs or graphs with explicit buffer back-edges,
     like binding-aware graphs).  ``auto_concurrency=False`` adds an
     implicit one-firing-at-a-time restriction per actor, equivalent to a
-    self-edge with one initial token.
+    self-edge with one initial token.  The execution itself runs in
+    :class:`repro.throughput.kernel.Kernel`.
     """
 
     def __init__(
@@ -156,100 +118,12 @@ class SelfTimedExecution:
         self.auto_concurrency = auto_concurrency
         self.max_states = max_states
         self.budget = budget
-        #: firing starts observed so far (the zero-time guard counter,
-        #: accumulated across phases; exported when metrics are enabled)
+        #: firing starts observed so far (accumulated across runs;
+        #: exported when metrics are enabled)
         self.firing_starts = 0
-        times = execution_times or graph.execution_times()
-        self._actor_names = graph.actor_names
-        self._actor_index = {a: i for i, a in enumerate(self._actor_names)}
-        self._times = [times[a] for a in self._actor_names]
-        channel_names = graph.channel_names
-        self._channel_names = channel_names
-        channel_index = {c: i for i, c in enumerate(channel_names)}
-        self._initial_tokens = [graph.channel(c).tokens for c in channel_names]
-        # per actor: [(channel index, rate), ...]
-        self._inputs: List[List[Tuple[int, int]]] = []
-        self._outputs: List[List[Tuple[int, int]]] = []
-        for actor in self._actor_names:
-            self._inputs.append(
-                [
-                    (channel_index[c.name], c.consumption)
-                    for c in graph.in_channels(actor)
-                ]
-            )
-            self._outputs.append(
-                [
-                    (channel_index[c.name], c.production)
-                    for c in graph.out_channels(actor)
-                ]
-            )
-
-    # ------------------------------------------------------------------
-    def _try_start(
-        self,
-        actor: int,
-        tokens: List[int],
-        active: List[List[int]],
-        completed: List[int],
-    ) -> bool:
-        """Start one firing of ``actor`` if enabled; returns success."""
-        if not self.auto_concurrency and active[actor]:
-            return False
-        for channel, rate in self._inputs[actor]:
-            if tokens[channel] < rate:
-                return False
-        for channel, rate in self._inputs[actor]:
-            tokens[channel] -= rate
-        duration = self._times[actor]
-        if duration == 0:
-            for channel, rate in self._outputs[actor]:
-                tokens[channel] += rate
-            completed[actor] += 1
-        else:
-            active[actor].append(duration)
-        return True
-
-    def _start_phase(
-        self,
-        tokens: List[int],
-        active: List[List[int]],
-        completed: List[int],
-    ) -> None:
-        """Start every enabled firing (zero-time firings loop in place)."""
-        guard = 0
-        progress = True
-        while progress:
-            progress = False
-            for actor in range(len(self._actor_names)):
-                while self._try_start(actor, tokens, active, completed):
-                    progress = True
-                    guard += 1
-                    if guard > _ZERO_TIME_GUARD:
-                        get_metrics().counter("state_space.zero_time_guard_hits")
-                        raise StateSpaceExplosionError(
-                            "unbounded firing burst at one time instant: "
-                            "either a cycle with total execution time 0, or "
-                            "an actor without inputs under auto-concurrency "
-                            "(bound the graph or disable auto_concurrency)"
-                        )
-            # A second sweep is only needed when zero-time firings
-            # produced tokens; firing starts alone never enable others.
-            if not any(self._times[a] == 0 for a in range(len(self._times))):
-                break
-        self.firing_starts += guard
-
-    def _record(self, result: ExecutionResult, started: float) -> None:
-        """Export one execution's statistics (metrics enabled only)."""
-        obs = get_metrics()
-        obs.counter("state_space.executions")
-        obs.counter("state_space.states", result.states_explored)
-        obs.counter("state_space.firing_starts", self.firing_starts)
-        obs.gauge("state_space.hash_set_size", result.states_explored)
-        obs.gauge("state_space.transient_time", result.transient_time)
-        obs.gauge("state_space.period", result.period or 0)
-        if result.deadlocked:
-            obs.counter("state_space.deadlocks")
-        obs.observe("state_space.execute", perf_counter() - started)
+        self._kernel = Kernel.from_sdf(
+            graph, execution_times, serial=not auto_concurrency
+        )
 
     def execute_until(
         self, actor: str, firings: int
@@ -263,73 +137,18 @@ class SelfTimedExecution:
         """
         get_metrics().counter("state_space.execute_until_calls")
         fault_point("state_space.execute", graph=self.graph.name)
-        budget = self.budget
-        if budget is not None:
-            budget.checkpoint()
-        target = self._actor_index[actor]
-        tokens = list(self._initial_tokens)
-        active: List[List[int]] = [[] for _ in self._actor_names]
-        completed = [0] * len(self._actor_names)
-        time = 0
-        steps = 0
-        while completed[target] < firings:
-            if budget is not None:
-                try:
-                    budget.tick()
-                except BudgetExceededError as error:
-                    error.partial.setdefault("graph", self.graph.name)
-                    error.partial.setdefault("events", steps)
-                    raise
-            self._start_phase(tokens, active, completed)
-            if completed[target] >= firings:
-                break
-            remaining_values = [r for firing in active for r in firing]
-            if not remaining_values:
-                return None  # deadlock before the target count
-            step = min(remaining_values)
-            time += step
-            for index, firing in enumerate(active):
-                finished = 0
-                for i in range(len(firing)):
-                    firing[i] -= step
-                    if firing[i] == 0:
-                        finished += 1
-                if finished:
-                    active[index] = [r for r in firing if r > 0]
-                    for channel, rate in self._outputs[index]:
-                        tokens[channel] += rate * finished
-                    completed[index] += finished
-            steps += 1
-            if steps > self.max_states:
-                raise StateSpaceExplosionError(
-                    f"execute_until exceeded {self.max_states} events"
-                )
-        return time
+        state = self._kernel.initial()
+        state.starts = self.firing_starts
+        return self._run(state, (self._kernel.index[actor], firings))
 
-    def _snapshot(
-        self,
-        time: int,
-        tokens: List[int],
-        active: List[List[int]],
-        completed: List[int],
-        seen: Dict[Tuple, Tuple[int, Tuple[int, ...]]],
-    ) -> Dict[str, Any]:
-        """The full exploration frontier as a JSON-serialisable dict.
-
-        Restoring it via ``execute(resume=...)`` continues the run
-        bit-identically (same recurrent state, period and state count).
-        """
-        return {
-            "time": time,
-            "tokens": list(tokens),
-            "active": [list(firing) for firing in active],
-            "completed": list(completed),
-            "firing_starts": self.firing_starts,
-            "seen": [
-                [_state_key_to_jsonable(key), [when, list(counts)]]
-                for key, (when, counts) in seen.items()
-            ],
-        }
+    def _run(self, state: Frontier, until: Optional[Tuple[int, int]] = None) -> Any:
+        try:
+            return self._kernel.run(state, self.max_states, self.budget, until)
+        except FiringBurstError:
+            get_metrics().counter("state_space.zero_time_guard_hits")
+            raise
+        finally:
+            self.firing_starts = state.starts
 
     def execute(
         self, resume: Optional[Dict[str, Any]] = None
@@ -345,143 +164,71 @@ class SelfTimedExecution:
         fault_point("state_space.execute", graph=self.graph.name)
         started = perf_counter() if obs.enabled else 0.0
         trace_started = tr.now() if tr.enabled else 0.0
-        budget = self.budget
-        if budget is not None:
-            budget.checkpoint()
-        if resume is None:
-            tokens = list(self._initial_tokens)
-            active: List[List[int]] = [[] for _ in self._actor_names]
-            completed = [0] * len(self._actor_names)
-            time = 0
-            seen: Dict[Tuple, Tuple[int, Tuple[int, ...]]] = {}
-        else:
-            tokens = list(resume["tokens"])
-            active = [list(firing) for firing in resume["active"]]
-            completed = list(resume["completed"])
-            time = resume["time"]
-            self.firing_starts = resume["firing_starts"]
-            seen = {
-                _state_key_from_jsonable(key): (when, tuple(counts))
-                for key, (when, counts) in resume["seen"]
+        state = self._kernel.initial()
+        state.starts = self.firing_starts
+        if resume is not None:
+            state.time = resume["time"]
+            state.tokens = list(resume["tokens"])
+            state.active = [list(firing) for firing in resume["active"]]
+            state.completed = list(resume["completed"])
+            state.starts = resume["firing_starts"]
+            state.seen = seen_from_json(resume["seen"])
+        try:
+            result = self._run(state)
+        except BudgetExceededError as error:
+            # the frontier, which execute(resume=...) continues
+            # bit-identically (same recurrent state, period and count)
+            error.partial["engine_state"] = {
+                "time": state.time,
+                "tokens": list(state.tokens),
+                "active": [list(firing) for firing in state.active],
+                "completed": list(state.completed),
+                "firing_starts": state.starts,
+                "seen": seen_to_json(state.seen),
             }
-
-        while True:
-            if budget is not None:
-                try:
-                    budget.tick()
-                except BudgetExceededError as error:
-                    error.partial.setdefault("graph", self.graph.name)
-                    error.partial.setdefault("states_explored", len(seen))
-                    error.partial["engine_state"] = self._snapshot(
-                        time, tokens, active, completed, seen
-                    )
-                    raise
-            self._start_phase(tokens, active, completed)
-            key = (
-                tuple(tokens),
-                tuple(
-                    (i, tuple(sorted(remaining)))
-                    for i, remaining in enumerate(active)
-                    if remaining
-                ),
+            raise
+        if not result.deadlocked:
+            result.certificate = {
+                "format": "repro-certificate",
+                "version": 1,
+                "kind": "self-timed",
+                "graph": self.graph.name,
+                "actors": list(self._kernel.actors),
+                "channels": list(self.graph.channel_names),
+                "execution_times": [t for (t,) in self._kernel.times],
+                "auto_concurrency": self.auto_concurrency,
+                "window_start": state.time,
+                "period": result.period,
+                "firings": dict(result.period_firings),
+                "tokens": list(state.tokens),
+                "active": [sorted(firing) for firing in state.active],
+            }
+        if obs.enabled:
+            obs.counter("state_space.executions")
+            obs.counter("state_space.states", result.states_explored)
+            obs.counter("state_space.firing_starts", self.firing_starts)
+            obs.gauge("state_space.hash_set_size", result.states_explored)
+            obs.gauge("state_space.transient_time", result.transient_time)
+            obs.gauge("state_space.period", result.period or 0)
+            if result.deadlocked:
+                obs.counter("state_space.deadlocks")
+            obs.observe("state_space.execute", perf_counter() - started)
+        if tr.enabled:
+            detail: Dict[str, Any] = (
+                {"deadlocked": True}
+                if result.deadlocked
+                else {"period": result.period, "transient_time": result.transient_time}
             )
-            if key in seen:
-                first_time, first_completed = seen[key]
-                period = time - first_time
-                firings = {
-                    name: completed[i] - first_completed[i]
-                    for i, name in enumerate(self._actor_names)
-                }
-                result = ExecutionResult(
-                    transient_time=first_time,
-                    period=period,
-                    period_firings=firings,
-                    states_explored=len(seen),
-                    certificate={
-                        "format": "repro-certificate",
-                        "version": 1,
-                        "kind": "self-timed",
-                        "graph": self.graph.name,
-                        "actors": list(self._actor_names),
-                        "channels": list(self._channel_names),
-                        "execution_times": list(self._times),
-                        "auto_concurrency": self.auto_concurrency,
-                        "window_start": time,
-                        "period": period,
-                        "firings": dict(firings),
-                        "tokens": list(tokens),
-                        "active": [sorted(firing) for firing in active],
-                    },
-                )
-                if obs.enabled:
-                    self._record(result, started)
-                if tr.enabled:
-                    tr.complete(
-                        "engine",
-                        "state_space.execute",
-                        trace_started,
-                        tr.now(),
-                        graph=self.graph.name,
-                        states=len(seen),
-                        period=period,
-                        transient_time=first_time,
-                    )
-                return result
-            seen[key] = (time, tuple(completed))
-            if len(seen) > self.max_states:
-                raise StateSpaceExplosionError(
-                    f"exceeded {self.max_states} states on graph "
-                    f"{self.graph.name!r} (channels unbounded or budget "
-                    "too small)"
-                )
-
-            remaining_values = [r for firing in active for r in firing]
-            if not remaining_values:
-                result = ExecutionResult(
-                    transient_time=time,
-                    period=None,
-                    period_firings={},
-                    states_explored=len(seen),
-                    deadlocked=True,
-                )
-                if obs.enabled:
-                    self._record(result, started)
-                if tr.enabled:
-                    tr.complete(
-                        "engine",
-                        "state_space.execute",
-                        trace_started,
-                        tr.now(),
-                        graph=self.graph.name,
-                        states=len(seen),
-                        deadlocked=True,
-                    )
-                return result
-            step = min(remaining_values)
-            time += step
-            for actor, firing in enumerate(active):
-                finished = 0
-                for index in range(len(firing)):
-                    firing[index] -= step
-                    if firing[index] == 0:
-                        finished += 1
-                if finished:
-                    active[actor] = [r for r in firing if r > 0]
-                    for channel, rate in self._outputs[actor]:
-                        tokens[channel] += rate * finished
-                    completed[actor] += finished
-
-
-def _scc_subgraph_with_cycles(
-    graph: SDFGraph, component: Sequence[str]
-) -> Optional[SDFGraph]:
-    """Induced sub-graph when the component contains a cycle, else None."""
-    if len(component) > 1:
-        return graph.subgraph(component)
-    actor = component[0]
-    if any(c.is_self_loop for c in graph.out_channels(actor)):
-        return graph.subgraph(component)
-    return None
+            tr.complete(
+                "engine",
+                "state_space.execute",
+                trace_started,
+                tr.now(),
+                graph=self.graph.name,
+                states=result.states_explored,
+                **detail,
+            )
+        return result
 
 
 def throughput(
@@ -511,11 +258,50 @@ def throughput(
     obs = get_metrics()
     tr = get_trace()
     trace_started = tr.now() if tr.enabled else 0.0
+    times = execution_times or {}
+
+    def execute(
+        component: Sequence[str], engine_state: Optional[Dict[str, Any]]
+    ) -> ExecutionResult:
+        return SelfTimedExecution(
+            graph.subgraph(component),
+            execution_times=(
+                {a: times[a] for a in component} if execution_times else None
+            ),
+            auto_concurrency=auto_concurrency,
+            max_states=max_states,
+            budget=budget,
+        ).execute(resume=engine_state)
+
+    def checkpoint() -> Dict[str, Any]:
+        return {
+            "kind": "state-space",
+            "graph": graph_to_dict(graph),
+            "execution_times": execution_times,
+            "auto_concurrency": auto_concurrency,
+            "max_states": max_states,
+            "budget": budget.usage() if budget is not None else None,
+        }
+
     with obs.span("state_space.throughput", graph=graph.name) as span:
-        result = _throughput_body(
-            graph, execution_times, auto_concurrency, max_states, budget,
-            obs, span, resume,
+        gamma = repetition_vector(graph)
+        components = strongly_connected_components(graph)
+        result = scc_throughput(
+            graph,
+            components,
+            gamma,
+            lambda a: times.get(a, graph.actor(a).execution_time) * gamma[a],
+            execute,
+            auto_concurrency,
+            resume,
+            checkpoint,
         )
+        if obs.enabled:
+            obs.counter("state_space.throughput_calls")
+            span.set("sccs", len(components))
+            span.set("sccs_explored", len(result.scc_rates))
+            span.set("states", result.states_explored)
+            span.set("iteration_rate", str(result.iteration_rate))
     if tr.enabled:
         tr.complete(
             "engine",
@@ -529,25 +315,31 @@ def throughput(
     return result
 
 
-def _throughput_body(
-    graph: SDFGraph,
-    execution_times: Optional[Dict[str, int]],
+def scc_throughput(
+    graph: Any,
+    components: List[List[str]],
+    gamma: Dict[str, int],
+    serial_period: Callable[[str], int],
+    execute: Callable[[Sequence[str], Optional[Dict[str, Any]]], ExecutionResult],
     auto_concurrency: bool,
-    max_states: int,
-    budget: Optional[Budget],
-    obs,
-    span,
     resume: Optional[Dict[str, Any]] = None,
+    checkpoint: Optional[Callable[[], Dict[str, Any]]] = None,
 ) -> ThroughputResult:
-    gamma = repetition_vector(graph)
+    """The SCC-wise driver of SDF and CSDF throughput.
+
+    ``execute(component, engine_state)`` explores one component with a
+    cycle in isolation; the graph's iteration rate is the minimum of
+    the component rates.  An actor on no cycle limits the rate only
+    without auto-concurrency, to one iteration per
+    ``serial_period(actor)``.  On a budget breach ``checkpoint()``
+    supplies the fields that identify the analysis in the checkpoint.
+    """
     rates: Dict[Tuple[str, ...], Rate] = {}
     certificates: Dict[Tuple[str, ...], Dict[str, Any]] = {}
     states = 0
     overall: Rate = float("inf")
-    components = strongly_connected_components(graph)
     resume_index = -1
     engine_resume = None
-    restored: Dict[Tuple[str, ...], Tuple[Rate, Optional[Dict[str, Any]]]] = {}
     if resume is not None:
         resume_index = resume["component_index"]
         if not 0 <= resume_index < len(components):
@@ -556,101 +348,60 @@ def _throughput_body(
                 f"{resume_index} outside [0, {len(components)})"
             )
         states = resume["states"]
+        # the components finished before the checkpoint, in order
         for entry in resume["scc_rates"]:
-            restored[tuple(entry[0])] = (
-                rate_from_str(entry[1]),
-                entry[2] if len(entry) > 2 else None,
-            )
+            key = tuple(entry[0])
+            rates[key] = rate_from_str(entry[1])
+            if len(entry) > 2 and entry[2] is not None:
+                certificates[key] = entry[2]
+            if rates[key] < overall:
+                overall = rates[key]
         engine_resume = resume.get("engine_state")
         get_metrics().counter("checkpoint.components_skipped", resume_index)
     for index, component in enumerate(components):
         key = tuple(component)
         if index < resume_index:
-            # finished before the checkpoint: restore instead of re-running
-            if key in restored:
-                rate, certificate = restored[key]
-                rates[key] = rate
-                if certificate is not None:
-                    certificates[key] = certificate
-                if rate < overall:
-                    overall = rate
             continue
-        subgraph = _scc_subgraph_with_cycles(graph, component)
-        if subgraph is None:
+        if len(component) == 1 and not any(
+            c.is_self_loop for c in graph.out_channels(component[0])
+        ):
             if not auto_concurrency:
                 # One firing at a time acts like a self-edge with one
-                # token: the actor alone limits the rate to 1/tau.
-                actor = component[0]
-                times = execution_times or {}
-                duration = times.get(actor, graph.actor(actor).execution_time)
-                if duration > 0:
-                    rate = Fraction(1, duration * gamma[actor])
+                # token: the actor alone limits the rate.
+                period = serial_period(component[0])
+                if period > 0:
+                    rate = Fraction(1, period)
                     rates[key] = rate
                     if rate < overall:
                         overall = rate
             continue
-        engine = SelfTimedExecution(
-            subgraph,
-            execution_times=(
-                {a: execution_times[a] for a in component}
-                if execution_times
-                else None
-            ),
-            auto_concurrency=auto_concurrency,
-            max_states=max_states,
-            budget=budget,
-        )
         try:
-            result = engine.execute(
-                resume=engine_resume if index == resume_index else None
+            result = execute(
+                component, engine_resume if index == resume_index else None
             )
         except BudgetExceededError as error:
-            error.partial["checkpoint"] = {
-                "format": "repro-checkpoint",
-                "version": 1,
-                "kind": "state-space",
-                "graph": graph_to_dict(graph),
-                "execution_times": execution_times,
-                "auto_concurrency": auto_concurrency,
-                "max_states": max_states,
-                "component_index": index,
-                "scc_rates": [
-                    [
-                        list(done),
-                        rate_to_str(rate),
-                        certificates.get(done),
-                    ]
-                    for done, rate in rates.items()
-                ],
-                "states": states,
-                "engine_state": error.partial.get("engine_state"),
-                "budget": {
-                    "states_charged": budget.states_charged,
-                    "checks_charged": budget.checks_charged,
-                    "elapsed": budget.elapsed(),
+            if checkpoint is not None:
+                error.partial["checkpoint"] = {
+                    "format": "repro-checkpoint",
+                    "version": 1,
+                    **checkpoint(),
+                    "component_index": index,
+                    "scc_rates": [
+                        [list(done), rate_to_str(rate), certificates.get(done)]
+                        for done, rate in rates.items()
+                    ],
+                    "states": states,
+                    "engine_state": error.partial.get("engine_state"),
                 }
-                if budget is not None
-                else None,
-            }
             raise
         states += result.states_explored
         representative = component[0]
-        rate: Rate
-        if result.deadlocked:
-            rate = Fraction(0)
-        else:
-            rate = result.actor_throughput(representative) / gamma[representative]
+        rate = result.actor_throughput(representative) / gamma[representative]
         rates[key] = rate
         if result.certificate is not None:
             certificates[key] = result.certificate
         if rate < overall:
             overall = rate
-    if obs.enabled:
-        obs.counter("state_space.throughput_calls")
-        span.set("sccs", len(components))
-        span.set("sccs_explored", len(rates))
-        span.set("states", states)
-        span.set("iteration_rate", str(overall))
     return ThroughputResult(
         iteration_rate=overall,
         gamma=gamma,

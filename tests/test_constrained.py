@@ -12,6 +12,7 @@ from repro.throughput.constrained import (
     constrained_throughput,
     gated_finish,
 )
+from repro.throughput.state_space import StateSpaceExplosionError
 
 
 class TestBusyTime:
@@ -131,6 +132,23 @@ class TestConstrainedThroughput:
         result = constrained_throughput(two_actor_pipeline, tiles)
         assert result.deadlocked
         assert result.of("a") == 0
+
+    def test_zero_duration_cycle_through_tile_is_reported(self):
+        graph = SDFGraph("zero-loop")
+        graph.add_actor("a", 0)
+        graph.add_channel("self:a", "a", "a", tokens=1)
+        tiles = [TileConstraints("t", 10, 5, StaticOrderSchedule(periodic=("a",)))]
+        with pytest.raises(StateSpaceExplosionError):
+            constrained_throughput(graph, tiles)
+
+    def test_unscheduled_source_burst_is_reported(self):
+        graph = SDFGraph("source")
+        graph.add_actor("a", 2)
+        graph.add_actor("src", 1)  # no inputs, bound to no tile
+        graph.add_channel("self:a", "a", "a", tokens=1)
+        tiles = [TileConstraints("t", 10, 5, StaticOrderSchedule(periodic=("a",)))]
+        with pytest.raises(StateSpaceExplosionError):
+            constrained_throughput(graph, tiles)
 
     def test_bad_schedule_order_deadlocks(self, two_actor_pipeline):
         # b first but ab carries no tokens: nothing can ever fire

@@ -200,7 +200,7 @@ def test_submit_fails_fast_without_endpoint(tmp_path):
 @pytest.mark.slow
 def test_submit_wait_honours_retry_after_on_429(tmp_path):
     spool = str(tmp_path / "spool")
-    application, architecture = slow_request(macroblocks=160)
+    application, architecture = slow_request()
     app_path = tmp_path / "app.json"
     arch_path = tmp_path / "arch.json"
     app_path.write_text(json.dumps(application))

@@ -11,6 +11,8 @@ from fractions import Fraction
 
 import pytest
 
+from repro.csdf.graph import CSDFGraph
+from repro.csdf.throughput import csdf_throughput
 from repro.sdf.graph import SDFGraph
 from repro.throughput.state_space import ThroughputResult, throughput
 
@@ -160,3 +162,13 @@ class TestThroughputResultOf:
     def test_missing_actor_from_driver_result(self, simple_cycle_graph):
         result = throughput(simple_cycle_graph)
         assert result.of("not-an-actor") == Fraction(0)
+
+    def test_missing_actor_from_csdf_result(self):
+        graph = CSDFGraph("ring")
+        graph.add_actor("a", [1, 2])
+        graph.add_actor("b", [1])
+        graph.add_channel("ab", "a", "b", [1, 1], [2])
+        graph.add_channel("ba", "b", "a", [2], [1, 1], tokens=2)
+        result = csdf_throughput(graph)
+        assert result.of("ghost") == Fraction(0)
+        assert result.of("a") == result.iteration_rate * 2
