@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install lint lint-source test test-fast test-robustness test-verify test-exact test-service test-telemetry test-chaos test-sanitizer bench perfbench-selftest bench-tables bench-full experiments examples clean
+.PHONY: install lint lint-source test test-fast test-robustness test-verify test-exact test-service test-telemetry test-chaos test-sanitizer bench perfbench-selftest perfbench-gate bench-tables bench-full experiments examples clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -83,6 +83,20 @@ bench:
 # gate and the by-name wrapping of each traced layer (perfbench/).
 perfbench-selftest:
 	$(PYTHON) perfbench/selftest.py
+
+# The same correctness gates at full size: one pass of every perfbench
+# workload at the default seed and the held-out one; fails on any
+# non-zero exit.
+PERFBENCH_WORKLOADS = flow-mixed exact-corpus analysis-corpus service-mix
+PERFBENCH_SEEDS = 1 1009
+perfbench-gate:
+	@for seed in $(PERFBENCH_SEEDS); do \
+		for workload in $(PERFBENCH_WORKLOADS); do \
+			echo "perfbench-gate: $$workload seed $$seed"; \
+			$(PYTHON) perfbench/run.py --workload $$workload --seed $$seed --seconds 0 \
+				|| exit 1; \
+		done; \
+	done
 
 # pytest-benchmark tables reproducing the paper's result tables.
 bench-tables:

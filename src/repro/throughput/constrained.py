@@ -245,7 +245,7 @@ def constrained_throughput(
         ]
         state.completed = list(engine["completed"])
         state.zero_starts = engine["zero_firings"]
-        state.seen = seen_from_json(engine["seen"])
+        state.seen = kernel.convert_seen(seen_from_json(engine["seen"]), to_work=False)
     try:
         result = ConstrainedThroughputResult(
             **vars(kernel.run(state, max_states, budget))
@@ -269,7 +269,7 @@ def constrained_throughput(
                 "schedule_pos": list(state.dispatch),
                 "completed": list(state.completed),
                 "zero_firings": state.zero_starts,
-                "seen": seen_to_json(state.seen),
+                "seen": seen_to_json(kernel.convert_seen(state.seen, to_work=True)),
             },
             "budget": budget.usage() if budget is not None else None,
         }
@@ -298,6 +298,7 @@ def constrained_throughput(
         obs.counter("constrained.executions")
         obs.counter("constrained.states", result.states_explored)
         obs.counter("constrained.zero_time_firings", state.zero_starts)
+        obs.counter("constrained.enablement_checks", state.enablement_checks)
         obs.gauge("constrained.hash_set_size", result.states_explored)
         obs.gauge("constrained.transient_time", result.transient_time)
         obs.gauge("constrained.period", result.period or 0)

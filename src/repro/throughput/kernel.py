@@ -17,14 +17,26 @@ actors per tile and starts the head of the queue (the §9.2 list
 scheduler, :mod:`repro.core.scheduling`).  Actors bound to no tile run
 self-timed.
 
+Each instant starts firings in rounds that test, in index order, only
+the actors and tiles whose start condition may have changed: consumers
+of channels that gained tokens, serial actors and tiles whose firing
+ended, ready-list actors just dequeued.  Every channel has one consumer,
+so nothing else can have become enabled.  Inside :meth:`Kernel.run` a
+tile firing is held as its completion instant, from one
+:func:`gated_finish` call at its start; outside (:class:`Frontier`,
+checkpoints, certificates) it is remaining work, like a free firing.
+
 After the starts of each instant the state (tokens, firings in
 progress, schedule positions or ready lists, wheel phases, next phases)
-is hashed; the first repeated state closes the periodic phase.  Front
+is hashed; the first repeated state closes the periodic phase.  A tile
+firing enters the key as its time to completion, which the wheel phases
+map one-to-one onto remaining work (:meth:`Kernel.convert_seen`).  Front
 ends turn the result into certificates, checkpoints and metrics.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -36,6 +48,9 @@ from repro.sdf.graph import SDFGraph
 DEFAULT_MAX_STATES = 2_000_000
 #: Cap on firing starts at a single time instant.
 BURST_LIMIT = 1_000_000
+
+#: completion instant of a tile firing that never completes (zero slice)
+NEVER = float("inf")
 
 #: visited state -> (time, completed firings per actor) at first visit
 Seen = Dict[Tuple, Tuple[int, Tuple[int, ...]]]
@@ -144,7 +159,9 @@ class Frontier:
     phase: List[int]
     #: per unbound actor, its firings in progress
     active: List[List[int]]
-    #: per tile, its firing in progress as (actor, remaining work)
+    #: per tile, its firing in progress as (actor, remaining work *
+    #: phases + phase); :meth:`Kernel.run` holds it as (actor, completion
+    #: instant, phase) while it runs
     tile_active: List[Optional[Tuple[int, int]]]
     completed: List[int]
     #: per tile, its static-order position (folded into ``Tile.order``)
@@ -155,6 +172,8 @@ class Frontier:
     starts: int = 0
     #: zero-duration firings of actors bound to no tile
     zero_starts: int = 0
+    #: start conditions evaluated, in the start sweep and tile dispatch
+    enablement_checks: int = 0
 
 
 @dataclass
@@ -211,20 +230,6 @@ class Kernel:
         self.times = [tuple(t) for t in times.values()]
         self.phases = [len(t) for t in self.times]
         self.index = index = {a: i for i, a in enumerate(self.actors)}
-        #: per actor, per phase: [(channel index, tokens), ...]
-        self.inputs: List[List[List[Tuple[int, int]]]] = [
-            [[] for _ in t] for t in self.times
-        ]
-        self.outputs: List[List[List[Tuple[int, int]]]] = [
-            [[] for _ in t] for t in self.times
-        ]
-        for number, (src, dst, produced, consumed, _) in enumerate(channels):
-            for phase, rate in enumerate(produced):
-                if rate:
-                    self.outputs[index[src]][phase].append((number, rate))
-            for phase, rate in enumerate(consumed):
-                if rate:
-                    self.inputs[index[dst]][phase].append((number, rate))
         self.tokens = [channel[4] for channel in channels]
         self.serial = serial
         self.tiles = list(tiles)
@@ -245,6 +250,28 @@ class Kernel:
         #: per tile, its static order as actor indices
         self.orders = [tuple(index[a] for a in tile.order) for tile in self.tiles]
         self.ready_list = ready_list
+        #: per actor, then per tile, its bit in the worklist of :meth:`run`
+        self.bits = [1 << i for i in range(len(self.actors) + len(self.tiles))]
+        #: per actor, per phase: [(channel index, tokens), ...]
+        self.inputs: List[List[List[Tuple[int, int]]]] = [
+            [[] for _ in t] for t in self.times
+        ]
+        #: per actor, per phase: [(channel index, tokens, worklist bit of
+        #: the consumer, or of its tile under a static order), ...]
+        self.outputs: List[List[List[Tuple[int, int, int]]]] = [
+            [[] for _ in t] for t in self.times
+        ]
+        for number, (src, dst, produced, consumed, _) in enumerate(channels):
+            tile = self.tile_of[index[dst]]
+            bit = self.bits[
+                index[dst] if tile is None or ready_list else len(self.actors) + tile
+            ]
+            for phase, rate in enumerate(produced):
+                if rate:
+                    self.outputs[index[src]][phase].append((number, rate, bit))
+            for phase, rate in enumerate(consumed):
+                if rate:
+                    self.inputs[index[dst]][phase].append((number, rate))
         self.on_firing = on_firing
         self.on_step = on_step
         #: per tile, the actors started on it (ready-list policy only)
@@ -282,6 +309,49 @@ class Kernel:
             dispatch=[[] if self.ready_list else 0 for _ in self.tiles],
         )
 
+    def _instant(
+        self, t: int, firing: Sequence[int], time: int
+    ) -> Tuple[int, Any, int]:
+        """Tile ``t``'s firing at ``time`` as (actor, completion instant,
+        phase), from (actor, remaining work encoding)."""
+        a, held = firing
+        work, ph = divmod(held, self.phases[a])
+        tile = self.tiles[t]
+        end = gated_finish(time, work, tile.wheel, tile.slice_size, tile.slice_start)
+        return (a, NEVER if end is None else end, ph)
+
+    def _work(self, t: int, firing: Sequence[Any], time: int) -> Tuple[int, int]:
+        """Inverse of :meth:`_instant`."""
+        a, end, ph = firing
+        tile = self.tiles[t]
+        work = (
+            self.times[a][ph]
+            if end == NEVER
+            else busy_time(time, end, tile.wheel, tile.slice_size, tile.slice_start)
+        )
+        return (a, work * self.phases[a] + ph)
+
+    def convert_seen(self, seen: Seen, *, to_work: bool) -> Seen:
+        """``seen`` with its tile firings keyed by remaining work, the
+        checkpoint format (``to_work``), or by time to completion, the
+        format of :meth:`run`; one-to-one because each key holds the
+        wheel phases and each value the time."""
+        if not self.tiles:
+            return seen
+        phased = any(p > 1 for p in self.phases)
+        converted: Seen = {}
+        for key, value in seen.items():
+            time, firings = value[0], list(key[2])
+            for t, f in enumerate(firings):
+                if f is not None and to_work:
+                    # a tile firing's phase precedes its actor's next one
+                    ph = (key[-1][f[0]] - 1) % self.phases[f[0]] if phased else 0
+                    firings[t] = self._work(t, (f[0], f[1] + time, ph), time)
+                elif f is not None:
+                    firings[t] = (f[0], self._instant(t, f, time)[1] - time)
+            converted[key[:2] + (tuple(firings),) + key[3:]] = value
+        return converted
+
     def run(
         self,
         state: Frontier,
@@ -301,19 +371,35 @@ class Kernel:
             budget.checkpoint()
         times, inputs, outputs = self.times, self.inputs, self.outputs
         phases, serial, tile_of = self.phases, self.serial, self.tile_of
-        tiles, orders = self.tiles, self.orders
+        tiles, orders, bits = self.tiles, self.orders, self.bits
         ready_list, log = self.ready_list, self.log
         on_firing, on_step, actors = self.on_firing, self.on_step, self.actors
         explore = until is None
         target, count = until or (0, 0)
-        free = [a for a in range(len(times)) if tile_of[a] is None]
-        # ready lists interleave enqueueing with the free actors' starts
-        sweep = range(len(times)) if ready_list else free
         wheels = [tile.wheel for tile in tiles]
         phased = any(p > 1 for p in phases)
         tokens, phase, active = state.tokens, state.phase, state.active
-        tile_active, completed = state.tile_active, state.completed
-        dispatch, seen, time = state.dispatch, state.seen, state.time
+        completed, dispatch = state.completed, state.dispatch
+        seen, time = state.seen, state.time
+        # the key takes one-phase firing lists as ascending, which they
+        # stay; a resumed state need not list them in order
+        if not phased:
+            for f in active:
+                f.sort()
+        # unbound actors with firings in progress, ascending
+        busy = [a for a, f in enumerate(active) if f and tile_of[a] is None]
+        tile_active = [
+            f and self._instant(t, f, time) for t, f in enumerate(state.tile_active)
+        ]
+        # worklist bits of the actors and tiles to test at the next round
+        # of starts; at first every tile and every actor the start sweep
+        # visits (ready lists also queue bound ones)
+        first_tile = len(times)
+        marks = sum(
+            bit
+            for a, bit in enumerate(bits)
+            if a >= first_tile or ready_list or tile_of[a] is None
+        )
         # ready-list runs start from the initial state (they are never
         # checkpointed), so no actor is queued yet
         in_ready = [False] * len(times)
@@ -322,7 +408,7 @@ class Kernel:
         # time (one phase, as in every traced graph)
         free_started: List[List[int]] = [[] for _ in times] if on_firing else []
         tile_started = [0] * len(tiles)
-        events = 0
+        events = checks = 0
         try:
             while True:
                 if not explore and completed[target] >= count:
@@ -338,28 +424,92 @@ class Kernel:
                             error.partial.setdefault("events", events)
                         raise
 
-                # -- start every firing the dispatch allows at this instant;
-                # only a zero-time firing or a ready-list change can enable
-                # more, so otherwise one sweep suffices
+                # -- start every firing the dispatch allows at this instant,
+                # in rounds.  A round tests the marked actors in index
+                # order, then the marked tiles (their bits follow the
+                # actors'); a zero-time firing marks what it enables for
+                # this round when its bit is higher, else for the next, as
+                # a sweep over every actor and tile would start them
                 burst = 0
-                again = True
-                while again:
-                    again = False
-                    for a in sweep:
+                while True:
+                    work, marks = marks, 0
+                    while work:
+                        low = work & -work
+                        work ^= low
+                        a = low.bit_length() - 1
+                        if a >= first_tile:
+                            t = a - first_tile
+                            tile = tiles[t]
+                            while tile_active[t] is None:
+                                if ready_list:
+                                    if not dispatch[t]:
+                                        break
+                                    a = dispatch[t].pop(0)
+                                    in_ready[a] = False
+                                    marks |= bits[a]
+                                else:
+                                    a = orders[t][dispatch[t]]
+                                ph = phase[a]
+                                ins = inputs[a][ph]
+                                checks += 1
+                                for c, r in ins:
+                                    if tokens[c] < r:
+                                        break
+                                else:
+                                    for c, r in ins:
+                                        tokens[c] -= r
+                                    burst += 1
+                                    if ready_list:
+                                        log[t].append(a)
+                                    else:
+                                        position = dispatch[t] + 1
+                                        dispatch[t] = (
+                                            position
+                                            if position < len(orders[t])
+                                            else tile.loop
+                                        )
+                                    if phases[a] > 1:
+                                        phase[a] = (ph + 1) % phases[a]
+                                    duration = times[a][ph]
+                                    if duration:
+                                        tile_active[t] = self._instant(
+                                            t, (a, duration * phases[a] + ph), time
+                                        )
+                                        tile_started[t] = time
+                                    else:
+                                        for c, r, m in outputs[a][ph]:
+                                            tokens[c] += r
+                                            if m > low:
+                                                work |= m
+                                            elif m != low:
+                                                marks |= m
+                                        completed[a] += 1
+                                        if on_firing is not None:
+                                            on_firing(actors[a], tile.name, time, time)
+                                        # its next entry starts next round
+                                        marks |= low
+                                    if ready_list:
+                                        continue
+                                    break
+                                if not ready_list:
+                                    break
+                            continue
                         if tile_of[a] is not None:
                             if not in_ready[a]:
+                                checks += 1
                                 for c, r in inputs[a][phase[a]]:
                                     if tokens[c] < r:
                                         break
                                 else:
                                     dispatch[tile_of[a]].append(a)
                                     in_ready[a] = True
-                                    again = True
+                                    work |= bits[first_tile + tile_of[a]]
                             continue
                         firing = active[a]
                         while burst <= BURST_LIMIT and not (serial and firing):
                             ph = phase[a]
                             ins = inputs[a][ph]
+                            checks += 1
                             for c, r in ins:
                                 if tokens[c] < r:
                                     break
@@ -371,65 +521,24 @@ class Kernel:
                                     phase[a] = (ph + 1) % phases[a]
                                 duration = times[a][ph]
                                 if duration:
+                                    if not firing:
+                                        insort(busy, a)
                                     firing.append(duration * phases[a] + ph)
                                     if on_firing is not None:
                                         free_started[a].append(time)
                                 else:
-                                    for c, r in outputs[a][ph]:
+                                    for c, r, m in outputs[a][ph]:
                                         tokens[c] += r
+                                        if m > low:
+                                            work |= m
+                                        elif m != low:
+                                            marks |= m
                                     completed[a] += 1
                                     state.zero_starts += 1
-                                    again = True
                                     if on_firing is not None:
                                         on_firing(actors[a], None, time, time)
                                 continue
                             break
-                    for t, tile in enumerate(tiles):
-                        while tile_active[t] is None:
-                            if ready_list:
-                                if not dispatch[t]:
-                                    break
-                                a = dispatch[t].pop(0)
-                                in_ready[a] = False
-                            else:
-                                a = orders[t][dispatch[t]]
-                            ph = phase[a]
-                            ins = inputs[a][ph]
-                            for c, r in ins:
-                                if tokens[c] < r:
-                                    break
-                            else:
-                                for c, r in ins:
-                                    tokens[c] -= r
-                                burst += 1
-                                if ready_list:
-                                    log[t].append(a)
-                                    again = True
-                                else:
-                                    position = dispatch[t] + 1
-                                    dispatch[t] = (
-                                        position
-                                        if position < len(orders[t])
-                                        else tile.loop
-                                    )
-                                if phases[a] > 1:
-                                    phase[a] = (ph + 1) % phases[a]
-                                duration = times[a][ph]
-                                if duration:
-                                    tile_active[t] = (a, duration * phases[a] + ph)
-                                    tile_started[t] = time
-                                else:
-                                    for c, r in outputs[a][ph]:
-                                        tokens[c] += r
-                                    completed[a] += 1
-                                    again = True
-                                    if on_firing is not None:
-                                        on_firing(actors[a], tile.name, time, time)
-                                if ready_list:
-                                    continue
-                                break
-                            if not ready_list:
-                                break
                     if burst > BURST_LIMIT:
                         raise FiringBurstError(
                             "unbounded firing burst at one time instant on "
@@ -438,17 +547,21 @@ class Kernel:
                             "under auto-concurrency (bound the graph or "
                             "disable auto_concurrency)"
                         )
+                    if not marks:
+                        break
                 state.starts += burst
 
                 # -- recurrence (or the target completion count)
                 if explore:
                     key: Tuple = (
                         tuple(tokens),
-                        tuple([(a, tuple(sorted(f))) for a, f in enumerate(active) if f]),
+                        tuple([(a, tuple(sorted(active[a]))) for a in busy])
+                        if phased
+                        else tuple([(a, tuple(active[a])) for a in busy]),
                     )
                     if tiles:
                         key += (
-                            tuple(tile_active),
+                            tuple([f and (f[0], f[1] - time) for f in tile_active]),
                             tuple([tuple(q) for q in dispatch])
                             if ready_list
                             else tuple(dispatch),
@@ -478,28 +591,18 @@ class Kernel:
                     return time
 
                 # -- advance to the next completion
-                step = None
-                for a in free:
+                next_time = None
+                for a in busy:
                     f = active[a]
-                    if f:
-                        remaining = min(f) // phases[a]
-                        if step is None or remaining < step:
-                            step = remaining
-                next_time = None if step is None else time + step
-                for t, running in enumerate(tile_active):
-                    if running is not None:
-                        tile = tiles[t]
-                        end = gated_finish(
-                            time,
-                            running[1] // phases[running[0]],
-                            tile.wheel,
-                            tile.slice_size,
-                            tile.slice_start,
-                        )
-                        # None: a zero slice never finishes the firing
-                        if end is not None and (next_time is None or end < next_time):
-                            next_time = end
-                if next_time is None:
+                    remaining = min(f) // phases[a] if phased else f[0]
+                    if next_time is None or remaining < next_time:
+                        next_time = remaining
+                if next_time is not None:
+                    next_time += time
+                for f in tile_active:
+                    if f is not None and (next_time is None or f[1] < next_time):
+                        next_time = f[1]
+                if next_time is None or next_time == NEVER:
                     if explore:
                         return ExecutionResult(
                             transient_time=time,
@@ -512,47 +615,42 @@ class Kernel:
                 if on_step is not None:
                     on_step(time, next_time)
                 step = next_time - time
-                for a in free:
-                    f = active[a]
-                    if not f:
-                        continue
+                emptied = False
+                for a in busy:
                     p = phases[a]
                     drop = step * p
-                    done = False
-                    for i, e in enumerate(f):
-                        f[i] = e - drop
-                        if e - drop < p:
-                            done = True
-                    if not done:
+                    f = active[a] = [e - drop for e in active[a]]
+                    if (min(f) if phased else f[0]) >= p:
                         continue
                     active[a] = [e for e in f if e >= p]
                     for e in f:
                         if e < p:
-                            for c, r in outputs[a][e]:
+                            for c, r, m in outputs[a][e]:
                                 tokens[c] += r
+                                marks |= m
                             completed[a] += 1
                             if on_firing is not None and free_started[a]:
                                 on_firing(
                                     actors[a], None, free_started[a].pop(0), next_time
                                 )
-                for t, running in enumerate(tile_active):
-                    if running is None:
-                        continue
-                    tile = tiles[t]
-                    a = running[0]
-                    p = phases[a]
-                    e = running[1] - p * busy_time(
-                        time, next_time, tile.wheel, tile.slice_size, tile.slice_start
-                    )
-                    if e < p:
-                        for c, r in outputs[a][e]:
+                    if serial:
+                        marks |= bits[a]
+                    emptied = emptied or not active[a]
+                if emptied:
+                    busy = [a for a in busy if active[a]]
+                for t, f in enumerate(tile_active):
+                    if f is not None and f[1] == next_time:
+                        a = f[0]
+                        for c, r, m in outputs[a][f[2]]:
                             tokens[c] += r
+                            marks |= m
                         completed[a] += 1
                         tile_active[t] = None
+                        marks |= bits[first_tile + t]
                         if on_firing is not None:
-                            on_firing(actors[a], tile.name, tile_started[t], next_time)
-                    else:
-                        tile_active[t] = (a, e)
+                            on_firing(
+                                actors[a], tiles[t].name, tile_started[t], next_time
+                            )
                 time = next_time
                 events += 1
                 if not explore and events > max_states:
@@ -561,3 +659,7 @@ class Kernel:
                     )
         finally:
             state.time = time
+            state.enablement_checks += checks
+            state.tile_active = [
+                f and self._work(t, f, time) for t, f in enumerate(tile_active)
+            ]

@@ -14,9 +14,20 @@ paper's fig. 5 allocation, by ``allocate_until_failure`` on
 ``generate_benchmark_set("mixed", 4, seed=0)`` and by a few
 ``exact_search`` runs, captured by wrapping the two entry points.
 
+A second set of cases pins the start order at one instant, which
+traces and the list scheduler's logs depend on: traced constrained runs
+that start zero-time auxiliary actors (full-wheel probes, and recorded
+probes with their ``con:``/``syn:`` actors or one bound actor set to
+time 0 through the case's ``times`` override), list-scheduling runs
+with zero-duration connection actors, and a small graph built so that
+its trace shows which round each zero-time start falls in.
+
 ``tests/fixtures/checkpoint_v1_*.json`` are budget-interrupted
-explorations (format version 1), one per checkpoint kind; the fixture
-records the result an uninterrupted run reports for each.
+explorations (format version 1): one per checkpoint kind interrupted
+half-way, and one constrained run interrupted a state before its
+recurrence, whose visited map already holds the recurrent state with a
+TDMA-gated tile firing in progress.  The fixture records the result an
+uninterrupted run reports for each.
 
 Regenerate, only when an output change is intended::
 
@@ -33,7 +44,7 @@ import sys
 from contextlib import contextmanager
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.csdf.random_csdf import random_csdf
 from repro.csdf.serialization import csdf_from_dict, csdf_to_dict
@@ -64,6 +75,10 @@ CHECKPOINTS = {
     "state-space": "checkpoint_v1_state_space.json",
     "constrained": "checkpoint_v1_constrained.json",
 }
+RECURRENT_CHECKPOINT = "checkpoint_v1_constrained_recurrent.json"
+#: largest state count of a recorded zero-time constrained case (traces
+#: grow with the states)
+TRACED_STATES = 600
 
 
 def digest(value: Any) -> str:
@@ -439,8 +454,185 @@ def _record_flows(corpus: _Corpus) -> None:
             exact_search(application, mesh, weights=CostWeights.default())
 
 
+def _zero_times(case: Dict[str, Any], actors: List[str]) -> Dict[str, int]:
+    """The ``times`` override of ``case`` with ``actors`` at time 0."""
+    return dict(case["times"], **{actor: 0 for actor in actors})
+
+
+def _auxiliary(
+    case: Dict[str, Any], graphs: Dict[str, Any], prefixes: Tuple[str, ...]
+) -> List[str]:
+    """The actors of ``case``'s graph whose names start with ``prefixes``."""
+    return [
+        actor["name"]
+        for actor in graphs[case["graph"]]["actors"]
+        if actor["name"].startswith(prefixes)
+    ]
+
+
+def _record_zero_time(corpus: _Corpus) -> None:
+    """Cases whose order of starts at one instant is observable.
+
+    The constrained ones record a trace; :func:`record` keeps those up
+    to :data:`TRACED_STATES` states.
+    """
+    graphs = corpus.graphs
+    recorded = list(corpus.cases["constrained"])
+    for case in recorded:
+        if case.get("trace"):
+            continue
+        graph = _sdf(case, graphs)
+        if any(actor.execution_time == 0 for actor in graph.actors):
+            corpus.add(
+                "constrained", **dict(case, source="zero-time-trace", trace=True)
+            )
+    firsts: Dict[str, Dict[str, Any]] = {}
+    for case in recorded:
+        firsts.setdefault(case["graph"], case)
+    for case in firsts.values():
+        auxiliary = _auxiliary(case, graphs, ("con", "syn:"))
+        if auxiliary:
+            corpus.add(
+                "constrained",
+                **dict(
+                    case,
+                    source="zero-aux-trace",
+                    trace=True,
+                    times=_zero_times(case, auxiliary),
+                ),
+            )
+        # one bound actor at time 0: its tile starts it and the next
+        # entry of the static order at the same instant
+        first = case["tiles"][0]
+        actor = (first["transient"] + first["periodic"])[0]
+        corpus.add(
+            "constrained",
+            **dict(
+                case,
+                source="zero-bound-trace",
+                trace=True,
+                times=_zero_times(case, [actor]),
+            ),
+        )
+    for case in list(corpus.cases["schedules"]):
+        for source, prefixes in (("zero-con", ("con",)), ("zero-aux", ("con", "syn:"))):
+            zero = _auxiliary(case, graphs, prefixes)
+            corpus.add(
+                "schedules", **dict(case, source=source, times=_zero_times(case, zero))
+            )
+
+
+def _record_rounds(corpus: _Corpus) -> None:
+    """A graph whose trace shows the rounds of starts at one instant.
+
+    When ``src`` completes, the zero-time ``f1`` enables the lower-index
+    ``f0`` (next round) and ``b0`` on tile ``t0`` (this round); ``b0``
+    enables ``c1`` on the higher tile ``t1`` (this round) and the
+    unbound ``f2`` (next round).
+    """
+    graph = SDFGraph("zero-rounds")
+    for actor in ("f0", "f1", "f2", "src", "b0", "c1"):
+        graph.add_actor(actor, 5 if actor == "src" else 0)
+    for src, dst, tokens in (
+        ("src", "f1", 0),
+        ("f1", "f0", 0),
+        ("f1", "b0", 0),
+        ("b0", "c1", 0),
+        ("b0", "f2", 0),
+        ("f0", "src", 1),
+        ("f2", "src", 1),
+        ("c1", "src", 1),
+    ):
+        graph.add_channel(f"{src}-{dst}", src, dst, 1, 1, tokens)
+    stored = corpus.sdf(graph)
+    for slice_size in (10, 4):
+        tiles = [
+            TileConstraints(name, 10, size, schedule=StaticOrderSchedule((actor,)))
+            for name, actor, size in (
+                ("t0", "b0", 10),
+                ("t1", "c1", 10),
+                ("t2", "src", slice_size),
+            )
+        ]
+        corpus.add(
+            "constrained",
+            source="zero-rounds-trace",
+            **stored,
+            tiles=_tile_entries(tiles),
+            max_states=1000,
+            trace=True,
+        )
+    corpus.add(
+        "schedules",
+        source="zero-rounds",
+        **stored,
+        tiles=[["t0", 10, 5], ["t1", 10, 5], ["t2", 10, 4]],
+        assignment={"b0": "t0", "c1": "t1", "src": "t2"},
+        max_states=1000,
+    )
+    # under ready lists: when S completes, X joins t1's queue and t1
+    # starts it in the same round; X's zero-time firing queues W on t2
+    # one round before the chain f, g queues the lower-index V there, so
+    # t2 runs W before V
+    graph = SDFGraph("zero-rounds-ready")
+    for actor, time in (("V", 1), ("W", 1), ("X", 0), ("g", 0), ("f", 0), ("S", 2)):
+        graph.add_actor(actor, time)
+    for src, dst, tokens in (
+        ("S", "X", 0),
+        ("S", "f", 0),
+        ("f", "g", 0),
+        ("g", "V", 0),
+        ("X", "W", 0),
+        ("V", "S", 1),
+        ("W", "S", 1),
+    ):
+        graph.add_channel(f"{src}-{dst}", src, dst, 1, 1, tokens)
+    corpus.add(
+        "schedules",
+        source="zero-rounds",
+        **corpus.sdf(graph),
+        tiles=[["t0", 10, 10], ["t1", 10, 10], ["t2", 10, 10]],
+        assignment={"S": "t0", "X": "t1", "V": "t2", "W": "t2"},
+        max_states=1000,
+    )
+
+
+def _recurrent_case(corpus: _Corpus) -> Dict[str, Any]:
+    """The smallest constrained case whose recurrent state holds a gated
+    tile firing whose remaining work differs from its time to completion."""
+    from repro.throughput.kernel import gated_finish
+
+    candidates = []
+    for case in corpus.cases["constrained"]:
+        out = case["out"]
+        if (
+            case["source"].startswith("zero-")
+            or "error" in out
+            or out["deadlocked"]
+            or not 40 <= out["states"] <= 200
+        ):
+            continue
+        result = constrained_throughput(
+            _sdf(case, corpus.graphs),
+            _tiles(case["tiles"]),
+            max_states=case["max_states"],
+        )
+        at = result.transient_time
+        for tile, firing in zip(case["tiles"], result.certificate["tile_active"]):
+            if firing is None or tile["slice_size"] >= tile["wheel"]:
+                continue
+            end = gated_finish(
+                at, firing[1], tile["wheel"], tile["slice_size"], tile["slice_start"]
+            )
+            if end - at != firing[1]:
+                candidates.append(case)
+                break
+    return min(candidates, key=lambda case: case["out"]["states"])
+
+
 def _record_checkpoints(corpus: _Corpus) -> List[Dict[str, Any]]:
-    """Interrupt one exploration per kind and store its checkpoint."""
+    """Interrupt explorations and store their checkpoints: one per kind
+    half-way, and one constrained run a state before its recurrence."""
     entries = []
     sdf = max(
         (
@@ -458,7 +650,12 @@ def _record_checkpoints(corpus: _Corpus) -> List[Dict[str, Any]]:
         ),
         key=lambda case: case["out"]["states"],
     )
-    for kind, case in (("state-space", sdf), ("constrained", constrained)):
+    recurrent = _recurrent_case(corpus)
+    for kind, case, name in (
+        ("state-space", sdf, CHECKPOINTS["state-space"]),
+        ("constrained", constrained, CHECKPOINTS["constrained"]),
+        ("constrained", recurrent, RECURRENT_CHECKPOINT),
+    ):
         graph = _sdf(case, corpus.graphs)
         if kind == "state-space":
             states = case["out"]["throughput"]["states"]
@@ -470,14 +667,16 @@ def _record_checkpoints(corpus: _Corpus) -> List[Dict[str, Any]]:
                 graph, tiles, max_states=case["max_states"], budget=budget
             )
         try:
-            run(Budget(max_states=states // 2))
+            run(Budget(max_states=states - 1 if case is recurrent else states // 2))
         except BudgetExceededError as error:
             checkpoint = error.partial["checkpoint"]
         else:
             raise AssertionError(f"{kind}: budget did not interrupt the run")
         checkpoint["budget"]["elapsed"] = 0.0
-        name = CHECKPOINTS[kind]
-        (FIXTURES / name).write_text(json.dumps(checkpoint) + "\n")
+        # a checkpoint file stays as the engine of its time wrote it:
+        # later engines must still resume it
+        if not (FIXTURES / name).exists():
+            (FIXTURES / name).write_text(json.dumps(checkpoint) + "\n")
         entries.append(
             {"kind": kind, "file": name, "out": resume_outcome(kind, run(None))}
         )
@@ -524,9 +723,17 @@ def record() -> Dict[str, Any]:
             corpus.add("csdf", graph=key, auto_concurrency=concurrency)
 
     _record_flows(corpus)
+    _record_zero_time(corpus)
+    _record_rounds(corpus)
     for kind, cases in corpus.cases.items():
         for case in cases:
             case["out"] = RUNNERS[kind](case, corpus.graphs)
+    corpus.cases["constrained"] = [
+        case
+        for case in corpus.cases["constrained"]
+        if not case["source"].startswith("zero-")
+        or case["out"].get("states", 0) <= TRACED_STATES
+    ]
     checkpoints = _record_checkpoints(corpus)
     return {
         "format": "repro-engine-golden",

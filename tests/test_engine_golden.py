@@ -1,17 +1,27 @@
 """The engines reproduce the golden corpus exactly (``tests/engine_golden.py``).
 
 The corpus was recorded from the four separate engine loops that the
-execution kernel replaced; any change in states explored, rates,
-periods, schedules, traces or certificate bytes fails here.
+execution kernel replaced, and extended from the kernel with the cases
+that pin the start order at one instant; any change in states explored,
+rates, periods, schedules, traces or certificate bytes fails here.
 """
 
 import json
 
 import pytest
 
-from repro.resilience.budget import Budget
+from repro.resilience.budget import Budget, BudgetExceededError
 from repro.resilience.checkpoint import read_checkpoint, resume_from_checkpoint
-from tests.engine_golden import FIXTURES, GOLDEN, RUNNERS, resume_outcome
+from repro.sdf.serialization import graph_from_dict
+from repro.throughput.constrained import constrained_throughput
+from tests.engine_golden import (
+    FIXTURES,
+    GOLDEN,
+    RECURRENT_CHECKPOINT,
+    RUNNERS,
+    _tiles,
+    resume_outcome,
+)
 
 
 @pytest.fixture(scope="module")
@@ -32,8 +42,27 @@ def test_kernel_reproduces_golden_corpus(golden):
 
 @pytest.mark.parametrize("kind", ["state-space", "constrained"])
 def test_v1_checkpoint_resumes_bit_identically(golden, kind):
-    (entry,) = [e for e in golden["checkpoints"] if e["kind"] == kind]
-    checkpoint = read_checkpoint(str(FIXTURES / entry["file"]))
-    assert checkpoint["version"] == 1 and checkpoint["kind"] == kind
-    resumed = resume_from_checkpoint(checkpoint, budget=Budget())
-    assert resume_outcome(kind, resumed) == entry["out"]
+    entries = [e for e in golden["checkpoints"] if e["kind"] == kind]
+    assert entries
+    for entry in entries:
+        checkpoint = read_checkpoint(str(FIXTURES / entry["file"]))
+        assert checkpoint["version"] == 1 and checkpoint["kind"] == kind
+        resumed = resume_from_checkpoint(checkpoint, budget=Budget())
+        assert resume_outcome(kind, resumed) == entry["out"], entry["file"]
+
+
+def test_kernel_checkpoint_is_rewritten_byte_for_byte():
+    # repeat the interruption that wrote the fixture: its budget breached
+    # when it charged one state more than its limit
+    text = (FIXTURES / RECURRENT_CHECKPOINT).read_text()
+    recorded = json.loads(text)
+    with pytest.raises(BudgetExceededError) as raised:
+        constrained_throughput(
+            graph_from_dict(recorded["graph"]),
+            _tiles(recorded["tiles"]),
+            max_states=recorded["max_states"],
+            budget=Budget(max_states=recorded["budget"]["states_charged"] - 1),
+        )
+    checkpoint = raised.value.partial["checkpoint"]
+    checkpoint["budget"]["elapsed"] = 0.0
+    assert json.dumps(checkpoint) + "\n" == text
