@@ -51,7 +51,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
 
 from repro.arch.presets import benchmark_architectures
 from repro.core.flow import allocate_until_failure
-from repro.core.strategy import AllocationError, ResourceAllocator
+from repro.core.strategy import BACKENDS, AllocationError, ResourceAllocator
 from repro.core.tile_cost import CostWeights
 from repro.exitcodes import HTTP_EXIT_MAP
 from repro.generate.benchmark import generate_benchmark_set
@@ -623,7 +623,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         workers=args.workers,
         max_queue_depth=args.max_queue,
         retry=RetryPolicy(max_attempts=args.max_attempts),
-        allocator=ResourceAllocator(backend=args.backend),
+        backend=args.backend,
         deadline=args.deadline,
         max_states=args.max_states,
         isolation=args.isolation,
@@ -1454,7 +1454,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _add_backend_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--backend",
-        choices=["greedy", "exact"],
+        choices=BACKENDS,
         default="greedy",
         help="allocation strategy: the paper's greedy heuristic "
         "(default) or the branch-and-bound exact search "

@@ -31,6 +31,9 @@ from repro.throughput.state_space import (
     StateSpaceExplosionError,
 )
 
+#: every strategy implementation :attr:`ResourceAllocator.backend` names
+BACKENDS = ("greedy", "exact")
+
 
 class AllocationError(RuntimeError):
     """A resource allocation could not be found.
@@ -95,7 +98,7 @@ class ResourceAllocator:
         (it is not an :class:`AllocationError` — the allocation is
         neither proven feasible nor infeasible, merely unfinished).
         """
-        if self.backend not in ("greedy", "exact"):
+        if self.backend not in BACKENDS:
             raise ValueError(
                 f"unknown backend {self.backend!r} "
                 "(expected 'greedy' or 'exact')"

@@ -92,8 +92,13 @@ class ResultCache:
         canonical: CanonicalRequest,
         allocation: Dict[str, Any],
         rung: Optional[str],
+        backend: str,
     ) -> str:
-        """Atomically persist one answer under its canonical digest."""
+        """Atomically persist one answer under its canonical digest.
+
+        ``backend`` names the allocator that computed the answer; the
+        service serves an entry only to a service of the same backend.
+        """
         path = self.path(canonical.digest)
         entry = {
             "format": CACHE_FORMAT,
@@ -104,6 +109,7 @@ class ResultCache:
             "channel_order": list(canonical.channel_order),
             "tile_order": list(canonical.tile_order),
             "rung": rung,
+            "backend": backend,
             "allocation": allocation,
         }
         text = json.dumps(entry, indent=2)

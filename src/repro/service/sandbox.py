@@ -16,6 +16,10 @@ The contract, per attempt:
 * The parent writes a **request spec** (`<job>.a<n>.request.json`) and
   spawns ``python -m repro.service.sandbox_child`` on it
   (``service.sandbox.spawn`` fault point fires just before the spawn).
+  It holds the ``request``, ``backend`` and ``checkpoint_path`` that
+  :func:`~repro.service.sandbox_child.run_attempt` reads, plus
+  ``budget``, ``limits``, the heartbeat interval and the per-attempt
+  file paths.
 * The child applies its rlimits, then appends **heartbeat** lines
   (`<job>.a<n>.beat`: beat counter, ``ru_maxrss``, states charged) from
   a daemon thread while the engine runs.
@@ -162,41 +166,35 @@ def write_request_spec(
     path: str,
     job: str,
     attempt: int,
-    request: Dict[str, Any],
+    spec: Dict[str, Any],
     budget: Dict[str, Any],
     limits: Dict[str, Any],
-    verify_results: bool,
-    backend: str,
     heartbeat_path: str,
     result_path: str,
-    checkpoint_path: Optional[str],
     heartbeat_interval: float,
     telemetry_path: Optional[str] = None,
 ) -> Dict[str, Any]:
-    """Atomically persist the child's request spec; returns the dict."""
-    spec = {
+    """Atomically persist ``spec`` plus the sandbox fields; returns it."""
+    request_spec = {
         "format": SANDBOX_FORMAT,
         "version": SANDBOX_VERSION,
         "job": job,
         "attempt": attempt,
-        "request": request,
+        **spec,
         "budget": budget,
         "limits": limits,
-        "verify_results": verify_results,
-        "backend": backend,
         "heartbeat_path": heartbeat_path,
         "result_path": result_path,
-        "checkpoint_path": checkpoint_path,
         "heartbeat_interval": heartbeat_interval,
         "telemetry_path": telemetry_path,
     }
     temp = path + ".tmp"
     with open(temp, "w", encoding="utf-8") as handle:
-        json.dump(spec, handle, indent=2)
+        json.dump(request_spec, handle, indent=2)
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(temp, path)
-    return spec
+    return request_spec
 
 
 def _child_env() -> Dict[str, str]:
@@ -511,14 +509,11 @@ def run_sandboxed(
     sandbox_dir: str,
     job: str,
     attempt: int,
-    request: Dict[str, Any],
+    spec: Dict[str, Any],
     budget_spec: Dict[str, Any],
     limits: Dict[str, Any],
-    verify_results: bool,
-    backend: str,
     watchdog: "Any",
     budget: Optional[Budget] = None,
-    checkpoint_path: Optional[str] = None,
     heartbeat_interval: float = 0.25,
     stall_timeout: float = 10.0,
     poll_interval: float = 0.05,
@@ -526,8 +521,10 @@ def run_sandboxed(
 ) -> Dict[str, Any]:
     """Run one attempt in a sandboxed child; return its outcome payload.
 
-    Blocks the calling worker thread until the child exits (or the
-    watchdog / a cancelled ``budget`` kills it).  Returns the child's
+    The child passes ``spec`` to
+    :func:`~repro.service.sandbox_child.run_attempt`.  Blocks the
+    calling worker thread until the child exits (or the watchdog / a
+    cancelled ``budget`` kills it).  Returns the child's
     result payload (``{"ok": True, "bundle": ..., "rung": ...,
     "verdict": ...}`` or a typed ``{"ok": False, "error": ...}``) when
     the verdict is ``completed``; raises :class:`SandboxFailure` with
@@ -549,14 +546,11 @@ def run_sandboxed(
         request_path,
         job=job,
         attempt=attempt,
-        request=request,
+        spec=spec,
         budget=budget_spec,
         limits=limits,
-        verify_results=verify_results,
-        backend=backend,
         heartbeat_path=heartbeat_path,
         result_path=result_path,
-        checkpoint_path=checkpoint_path,
         heartbeat_interval=heartbeat_interval,
         telemetry_path=telemetry_path,
     )

@@ -14,17 +14,20 @@ one allocation attempt inside OS-level containment:
    to the beat file — beat counter, ``ru_maxrss`` and the engine's
    ``states_charged`` — so the parent watchdog can tell a working
    child from a stalled one and track its memory without /proc races.
-3. **The attempt.**  The same pipeline a thread-mode worker runs:
-   ``resilient_allocate`` under a cooperative budget, bundle building
-   and (optionally) independent certification.  Typed negative
-   answers (infeasibility, budget exhaustion, malformed input,
-   refuted certification) are *results*, written to the outcome file
-   with ``ok: false`` and exit status 0 — only genuine crashes and
+3. **The attempt.**  :func:`run_attempt`, the very function a
+   thread-isolated worker calls: ``resilient_allocate`` under a
+   cooperative budget, bundle building and independent certification.
+   Typed negative answers (infeasibility, budget exhaustion, malformed
+   input, refuted certification) are *results*, written to the outcome
+   file with ``ok: false`` and exit status 0 — only genuine crashes and
    limit breaches end nonzero.
 
-The outcome file is written atomically, so the parent never reads a
-torn result; everything else about the protocol is documented in
-:mod:`repro.service.sandbox`.
+The request spec holds the attempt spec :func:`run_attempt` reads
+(``request``, ``backend``, ``checkpoint_path``) plus the sandbox's own
+fields: ``budget``, ``limits``, the heartbeat, result and telemetry
+paths and the heartbeat interval.  The outcome file is written
+atomically, so the parent never reads a torn result; everything else
+about the protocol is documented in :mod:`repro.service.sandbox`.
 """
 
 from __future__ import annotations
@@ -130,8 +133,13 @@ def _write_outcome(path: str, payload: Dict[str, Any]) -> None:
     os.replace(temp, path)
 
 
-def _attempt(spec: Dict[str, Any], budget: Any) -> Dict[str, Any]:
-    """The allocation pipeline; returns the outcome payload."""
+def run_attempt(spec: Dict[str, Any], budget: Any) -> Dict[str, Any]:
+    """The service's one allocation pipeline; returns the outcome payload.
+
+    ``spec`` holds ``request``, ``backend`` and ``checkpoint_path``.
+    Typed negative answers come back with ``ok: false``; anything else
+    propagates.  Thread-isolated workers call this directly.
+    """
     from repro.appmodel.serialization import (
         application_from_dict,
         bundle_to_dict,
@@ -148,13 +156,10 @@ def _attempt(spec: Dict[str, Any], budget: Any) -> Dict[str, Any]:
         architecture = architecture_from_dict(
             spec["request"]["architecture"]
         )
-        allocator = ResourceAllocator(
-            backend=spec.get("backend") or "greedy"
-        )
         result = resilient_allocate(
             application,
             architecture,
-            allocator=allocator,
+            allocator=ResourceAllocator(backend=spec["backend"]),
             budget=budget,
             checkpoint_path=spec.get("checkpoint_path"),
             preflight=True,
@@ -162,28 +167,23 @@ def _attempt(spec: Dict[str, Any], budget: Any) -> Dict[str, Any]:
         bundle = bundle_to_dict(
             architecture, [result.allocation], rungs=[result.rung]
         )
-        verdict = None
-        if spec.get("verify_results", True):
-            report = certify_allocation(bundle)
-            if not report.certified:
-                reasons = [
-                    reason
-                    for refuted in report.refuted
-                    for reason in refuted.reasons
-                ]
-                return {
-                    "ok": False,
-                    "error": "refuted",
-                    "message": "; ".join(reasons) or "unknown refutation",
-                }
-            verdict = (
-                report.verdicts[0].verdict if report.verdicts else None
-            )
+        report = certify_allocation(bundle)
+        if not report.certified:
+            reasons = [
+                reason
+                for refuted in report.refuted
+                for reason in refuted.reasons
+            ]
+            return {
+                "ok": False,
+                "error": "refuted",
+                "message": "; ".join(reasons) or "unknown refutation",
+            }
         return {
             "ok": True,
             "bundle": bundle,
             "rung": result.rung,
-            "verdict": verdict,
+            "verdict": report.verdicts[0].verdict if report.verdicts else None,
         }
     except BudgetExceededError as error:
         return {
@@ -276,7 +276,7 @@ def main(argv: Optional[list] = None) -> int:
             # same containment outcome as a MemoryError
             os._exit(EXIT_OOM)
         try:
-            payload = _attempt(spec, budget)
+            payload = run_attempt(spec, budget)
         finally:
             stop.set()
         if spool_telemetry is not None:

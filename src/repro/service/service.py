@@ -24,11 +24,12 @@ piece by piece:
   of letting latency grow without bound.
 * **Drain is graceful.**  :meth:`~AllocationService.drain` stops
   intake, cancels the running jobs' budgets cooperatively
-  (:meth:`Budget.cancel`), persists each interrupted exploration
-  frontier through the existing ``--checkpoint`` machinery and parks
-  the jobs as ``queued`` for the next daemon.
-* **The blast radius is a child process.**  With
-  ``isolation="process"`` every compute attempt runs in a dedicated
+  (:meth:`Budget.cancel`; a sandboxed child is SIGKILLed) and parks
+  the jobs as ``queued`` for the next daemon, which recomputes them
+  from the start — bit-identically, the engines being deterministic.
+* **The blast radius is a child process.**  Every compute attempt runs
+  :func:`~repro.service.sandbox_child.run_attempt`; with
+  ``isolation="process"`` it runs in a dedicated
   subprocess under ``resource.setrlimit`` caps
   (:mod:`repro.service.sandbox`), heartbeat-monitored by a parent-side
   :class:`~repro.service.watchdog.Watchdog` that SIGKILLs stalled or
@@ -65,10 +66,9 @@ from repro.appmodel.serialization import (
     BUNDLE_FORMAT,
     BUNDLE_VERSION,
     application_from_dict,
-    bundle_to_dict,
 )
 from repro.arch.serialization import architecture_from_dict
-from repro.core.strategy import AllocationError, ResourceAllocator
+from repro.core.strategy import BACKENDS, AllocationError
 from repro.obs import get_metrics
 from repro.obs.lockcheck import make_lock
 from repro.obs.log import get_logger
@@ -77,10 +77,10 @@ from repro.obs.telemetry import FlightRecorder, JobTelemetry
 from repro.obs.trace import get_trace
 from repro.resilience.budget import Budget, BudgetExceededError
 from repro.resilience.faults import InjectedFaultError, fault_point
-from repro.resilience.policy import DEFAULT_LADDER, resilient_allocate
 from repro.sdf.serialization import SerializationError
 from repro.service.cache import ResultCache
 from repro.service.sandbox import SandboxFailure, run_sandboxed
+from repro.service.sandbox_child import run_attempt
 from repro.service.watchdog import CrashLoopDetector, Watchdog
 from repro.service.canonical import (
     CanonicalRequest,
@@ -173,11 +173,9 @@ class AllocationService:
         workers: int = 2,
         max_queue_depth: int = 64,
         retry: Optional[RetryPolicy] = None,
-        allocator: Optional[ResourceAllocator] = None,
-        ladder=DEFAULT_LADDER,
+        backend: str = "greedy",
         deadline: Optional[float] = None,
         max_states: Optional[int] = None,
-        verify_results: bool = True,
         isolation: str = "thread",
         memory_mb: Optional[int] = None,
         cpu_seconds: Optional[float] = None,
@@ -194,6 +192,10 @@ class AllocationService:
             raise ValueError(
                 f"isolation must be 'thread' or 'process', got {isolation!r}"
             )
+        if backend not in BACKENDS:
+            raise ValueError(
+                f"backend must be one of {BACKENDS}, got {backend!r}"
+            )
         self.spool = spool
         os.makedirs(spool, exist_ok=True)
         self.journal = JobJournal(spool)
@@ -202,11 +204,9 @@ class AllocationService:
         os.makedirs(self.checkpoints_dir, exist_ok=True)
         self.sandbox_dir = os.path.join(spool, "sandbox")
         self.retry = retry or RetryPolicy()
-        self.allocator = allocator or ResourceAllocator()
-        self.ladder = ladder
+        self.backend = backend
         self.deadline = deadline
         self.max_states = max_states
-        self.verify_results = verify_results
         self.max_queue_depth = max_queue_depth
         self.worker_count = workers
         self.isolation = isolation
@@ -302,14 +302,14 @@ class AllocationService:
     def drain(
         self, cancel_running: bool = True, timeout: float = 30.0
     ) -> Dict[str, Any]:
-        """Gracefully stop: no intake, park pending, checkpoint running.
+        """Gracefully stop: no intake, park pending, cancel running.
 
         With ``cancel_running`` the active jobs' budgets are cancelled
-        cooperatively; each engine persists its exploration frontier
-        (via the rung's ``--checkpoint`` machinery) and the job is
-        parked as ``queued`` with its attempt refunded, ready for the
-        next daemon.  Pending/backing-off jobs stay ``queued`` in the
-        journal untouched.  Idempotent.
+        cooperatively (a sandboxed child is SIGKILLed) and each job is
+        parked as ``queued`` with its attempt refunded.  The next daemon
+        recomputes a parked job from the start, bit-identically; it
+        does not resume from ``checkpoints/``.  Pending/backing-off jobs
+        stay ``queued`` in the journal untouched.  Idempotent.
         """
         with self._lock:
             self._accepting = False
@@ -486,6 +486,7 @@ class AllocationService:
                 "accepting": self._accepting,
                 "workers": self.worker_count,
                 "isolation": self.isolation,
+                "backend": self.backend,
                 "health": self.crash_loop.health(),
                 "crash_loop": self.crash_loop.snapshot(),
                 "queue_depth": len(self._queue),
@@ -659,7 +660,8 @@ class AllocationService:
         except (InjectedFaultError, OSError, SerializationError, ValueError):
             obs.counter("service.cache.errors")
             entry = None
-        if entry is None:
+        if entry is None or entry.get("backend") != self.backend:
+            # another backend's answer is not this service's answer
             obs.counter("service.cache.miss")
             return False
         application = record["request"]["application"]
@@ -723,17 +725,6 @@ class AllocationService:
         )
         return True
 
-    def _compute(
-        self,
-        record: Dict[str, Any],
-        canonical: CanonicalRequest,
-        budget: Budget,
-    ) -> None:
-        if self.isolation == "process":
-            self._compute_sandboxed(record, canonical, budget)
-        else:
-            self._compute_in_thread(record, canonical, budget)
-
     def _effective_limits(self, record: Dict[str, Any]) -> Dict[str, Any]:
         """Per-job limits over the service-wide defaults, Nones dropped."""
         limits: Dict[str, Any] = {}
@@ -746,43 +737,47 @@ class AllocationService:
                 limits[key] = value
         return limits
 
-    def _compute_sandboxed(
+    def _compute(
         self,
         record: Dict[str, Any],
         canonical: CanonicalRequest,
         budget: Budget,
     ) -> None:
-        """One attempt in a dedicated child process (see ``sandbox.py``).
+        """One attempt of the pipeline, in this thread or a child.
 
-        The child runs the same pipeline as :meth:`_compute_in_thread`
-        — ladder, bundle, certification — under ``setrlimit`` caps and
-        watchdog supervision.  Typed negative answers come back in the
-        outcome payload and are re-raised here so the ordinary
-        supervision boundary routes them; a dead child surfaces as
-        :class:`SandboxFailure` with its verdict.
+        Both isolation modes get the outcome payload of
+        :func:`~repro.service.sandbox_child.run_attempt` — directly, or
+        from the sandboxed child (see ``sandbox.py``).  Typed negative
+        answers are re-raised here so the ordinary supervision boundary
+        routes them; a dead child surfaces as :class:`SandboxFailure`
+        with its verdict.
         """
-        checkpoint_path = os.path.join(
-            self.checkpoints_dir, f"{record['id']}.engine.json"
-        )
-        payload = run_sandboxed(
-            self.sandbox_dir,
-            job=record["id"],
-            attempt=record["attempts"],
-            request=record["request"],
-            budget_spec=record.get("budget", {}),
-            limits=self._effective_limits(record),
-            verify_results=self.verify_results,
-            backend=self.allocator.backend,
-            watchdog=self.watchdog,
-            budget=budget,
-            checkpoint_path=checkpoint_path,
-            heartbeat_interval=self.heartbeat_interval,
-            stall_timeout=self.stall_timeout,
-            telemetry=self.telemetry,
-        )
+        spec = {
+            "request": record["request"],
+            "backend": self.backend,
+            "checkpoint_path": os.path.join(
+                self.checkpoints_dir, f"{record['id']}.engine.json"
+            ),
+        }
+        if self.isolation == "process":
+            payload = run_sandboxed(
+                self.sandbox_dir,
+                job=record["id"],
+                attempt=record["attempts"],
+                spec=spec,
+                budget_spec=record.get("budget", {}),
+                limits=self._effective_limits(record),
+                watchdog=self.watchdog,
+                budget=budget,
+                heartbeat_interval=self.heartbeat_interval,
+                stall_timeout=self.stall_timeout,
+                telemetry=self.telemetry,
+            )
+        else:
+            payload = run_attempt(spec, budget)
         if not payload.get("ok"):
             kind = payload.get("error")
-            message = payload.get("message", "sandboxed attempt failed")
+            message = payload.get("message", "attempt failed")
             if kind == "budget":
                 raise BudgetExceededError(
                     message, reason=payload.get("reason") or "deadline"
@@ -798,13 +793,15 @@ class AllocationService:
                     f"certification: {message}"
                 )
             raise RuntimeError(
-                f"sandboxed attempt returned unknown error {kind!r}: "
-                f"{message}"
+                f"attempt returned unknown error {kind!r}: {message}"
             )
         bundle = payload["bundle"]
         try:
             self.cache.store(
-                canonical, bundle["allocations"][0], payload["rung"]
+                canonical,
+                bundle["allocations"][0],
+                payload["rung"],
+                self.backend,
             )
         except (OSError, InjectedFaultError):
             get_metrics().counter("service.cache.write_errors")
@@ -815,62 +812,6 @@ class AllocationService:
             verdict=payload["verdict"],
             source="computed",
             sandbox_verdict=payload.get("sandbox_verdict"),
-        )
-
-    def _compute_in_thread(
-        self,
-        record: Dict[str, Any],
-        canonical: CanonicalRequest,
-        budget: Budget,
-    ) -> None:
-        application = application_from_dict(
-            record["request"]["application"]
-        )
-        architecture = architecture_from_dict(
-            record["request"]["architecture"]
-        )
-        checkpoint_path = os.path.join(
-            self.checkpoints_dir, f"{record['id']}.engine.json"
-        )
-        result = resilient_allocate(
-            application,
-            architecture,
-            allocator=self.allocator,
-            budget=budget,
-            ladder=self.ladder,
-            checkpoint_path=checkpoint_path,
-            preflight=True,
-        )
-        bundle = bundle_to_dict(
-            architecture, [result.allocation], rungs=[result.rung]
-        )
-        verdict = None
-        if self.verify_results:
-            report = certify_allocation(bundle)
-            if not report.certified:
-                get_metrics().counter("service.refuted")
-                reasons = [
-                    reason
-                    for v in report.refuted
-                    for reason in v.reasons
-                ]
-                raise ResultRefutedError(
-                    f"computed allocation for job {record['id']!r} failed "
-                    f"certification: {'; '.join(reasons) or 'unknown'}"
-                )
-            verdict = report.verdicts[0].verdict if report.verdicts else None
-        try:
-            self.cache.store(
-                canonical, bundle["allocations"][0], result.rung
-            )
-        except (OSError, InjectedFaultError):
-            get_metrics().counter("service.cache.write_errors")
-        self._finish(
-            record,
-            bundle=bundle,
-            rung=result.rung,
-            verdict=verdict,
-            source="computed",
         )
 
     # -- transitions ---------------------------------------------------
@@ -930,8 +871,7 @@ class AllocationService:
         """A drain interrupted this attempt; park it for the next daemon.
 
         The attempt is refunded — cancellation is the service's doing,
-        not the job's — and the engine checkpoint (if the rung got far
-        enough to write one) already sits in ``checkpoints/``.
+        not the job's — and the next attempt starts from scratch.
         """
         get_metrics().counter("service.parked")
         self._transition(

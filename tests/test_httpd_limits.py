@@ -19,6 +19,7 @@ import threading
 
 import pytest
 
+from repro.resilience.faults import FaultInjector
 from repro.service import AllocationService, RetryPolicy
 from repro.service.httpd import MAX_BODY_BYTES, ServiceHTTPServer
 
@@ -153,14 +154,24 @@ def test_stale_endpoint_is_replaced_and_shutdown_retracts(tmp_path):
             {"host": "127.0.0.1", "port": 1, "url": "http://127.0.0.1:1"},
             handle,
         )
-    process, url = _start_daemon(spool)
+    process, url = _start_daemon(
+        spool,
+        extra=(
+            "--max-queue", "1", "--isolation", "thread", "--backend", "exact"
+        ),
+    )
     try:
         # the stale announcement is gone; the new one answers /health
         with open(endpoint_path) as handle:
             announced = json.load(handle)
         assert announced["url"] == url
         assert announced["port"] != 1
-        assert _get(f"{url}/health")["accepting"]
+        health = _get(f"{url}/health")
+        assert health["accepting"]
+        # and reports the daemon's flags
+        assert health["max_queue_depth"] == 1
+        assert health["isolation"] == "thread"
+        assert health["backend"] == "exact"
     finally:
         process.send_signal(signal.SIGTERM)
         assert process.wait(timeout=60) == 0
@@ -197,64 +208,75 @@ def test_submit_fails_fast_without_endpoint(tmp_path):
     assert "repro-alloc serve" in completed.stderr
 
 
+class _HoldAttempts(FaultInjector):
+    """Holds every worker attempt at ``service.worker.run`` until released."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.release = threading.Event()
+
+    def visit(self, point, **context):
+        if point == "service.worker.run":
+            self.release.wait(timeout=120)
+        super().visit(point, **context)
+
+
 @pytest.mark.slow
-def test_submit_wait_honours_retry_after_on_429(tmp_path):
-    spool = str(tmp_path / "spool")
-    application, architecture = slow_request()
+def test_submit_wait_honours_retry_after_on_429(server, tmp_path):
+    application, architecture = fast_request()
     app_path = tmp_path / "app.json"
     arch_path = tmp_path / "arch.json"
+    out_path = tmp_path / "second.out"
     app_path.write_text(json.dumps(application))
     arch_path.write_text(json.dumps(architecture))
-    process, url = _start_daemon(
-        spool,
-        extra=("--max-queue", "1", "--isolation", "thread"),
-    )
-    try:
-        first = subprocess.run(
-            [
-                sys.executable,
-                "-m",
-                "repro.cli",
-                "submit",
-                str(app_path),
-                str(arch_path),
-                "--spool",
-                spool,
-            ],
-            env=_daemon_env(),
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
-        assert first.returncode == 0, first.stderr
-        # the queue is now full: a --wait submitter backs off per the
-        # advertised Retry-After and eventually gets through
-        second = subprocess.run(
-            [
-                sys.executable,
-                "-m",
-                "repro.cli",
-                "submit",
-                str(app_path),
-                str(arch_path),
-                "--spool",
-                spool,
-                "--wait",
-                "--timeout",
-                "120",
-            ],
-            env=_daemon_env(),
-            capture_output=True,
-            text=True,
-            timeout=180,
-        )
-        assert second.returncode == 0, second.stderr
-        assert "retrying in" in second.stderr
-        assert "Retry-After" in second.stderr
-        record = json.loads(second.stdout)
-        assert record["state"] == "certified"
-        assert record["source"] == "cache"  # same request, already proved
-    finally:
-        if process.poll() is None:
-            process.send_signal(signal.SIGTERM)
-            process.wait(timeout=60)
+    host, port = server.server_address[:2]
+    submit = [
+        sys.executable,
+        "-m",
+        "repro.cli",
+        "submit",
+        str(app_path),
+        str(arch_path),
+        "--server",
+        f"http://{host}:{port}",
+    ]
+    second = None
+    with _HoldAttempts() as hold:
+        try:
+            first = subprocess.run(
+                submit,
+                env=_daemon_env(),
+                capture_output=True,
+                text=True,
+                timeout=60,
+            )
+            assert first.returncode == 0, first.stderr
+            # the held first job fills the depth-1 queue: a --wait
+            # submitter backs off per the advertised Retry-After and,
+            # once the hold is released, eventually gets through
+            with open(out_path, "w") as out:
+                second = subprocess.Popen(
+                    [*submit, "--wait", "--timeout", "120"],
+                    env=_daemon_env(),
+                    stdout=out,
+                    stderr=subprocess.PIPE,
+                    text=True,
+                )
+                stderr = ""
+                with second.stderr:
+                    for line in second.stderr:
+                        stderr += line
+                        if "retrying in" in line:
+                            hold.release.set()
+                second.wait(timeout=60)
+        finally:
+            hold.release.set()
+            if second is not None and second.poll() is None:
+                second.kill()
+                second.wait()
+    assert second.returncode == 0, stderr
+    assert "retrying in" in stderr
+    assert "Retry-After" in stderr
+    record = json.loads(out_path.read_text())
+    assert record["state"] == "certified"
+    assert record["source"] == "cache"  # same request, already proved

@@ -244,6 +244,33 @@ def test_sandboxed_attempt_completes_with_verdict(tmp_path):
         service.drain(cancel_running=True)
 
 
+@pytest.mark.parametrize("backend", ["greedy", "exact"])
+def test_thread_and_process_isolation_agree(tmp_path, backend):
+    """Both isolation modes run one pipeline, so they give one answer."""
+    application, architecture = fast_request()
+    records = {}
+    for isolation in ("thread", "process"):
+        service = _service(
+            tmp_path / isolation, isolation=isolation, backend=backend
+        )
+        try:
+            records[isolation] = service.wait(
+                service.submit(application, architecture), timeout=120
+            )
+        finally:
+            service.drain(cancel_running=True)
+    thread, process = records["thread"], records["process"]
+    for key in ("result", "rung", "verdict"):
+        assert thread[key] == process[key], key
+    assert thread["source"] == process["source"] == "computed"
+    assert process["sandbox_verdict"]["kind"] == "completed"
+
+
+def test_unknown_backend_is_rejected(tmp_path):
+    with pytest.raises(ValueError, match="backend"):
+        AllocationService(str(tmp_path / "spool"), backend="nope")
+
+
 def test_oom_child_quarantines_with_oom_verdict(tmp_path):
     service = _service(tmp_path)
     try:

@@ -11,6 +11,7 @@ import time
 
 import pytest
 
+from repro.obs import collecting
 from repro.resilience.budget import Budget
 from repro.resilience.faults import FaultInjector, FaultSpec
 from repro.resilience.policy import resilient_allocate
@@ -104,6 +105,28 @@ def test_tampered_cache_entry_is_refuted_evicted_and_recomputed(service):
     assert replaced["allocation"]["certificate"]["period"] == (
         entry["allocation"]["certificate"]["period"] - 1
     )
+
+
+def test_cache_entry_of_another_backend_is_a_miss(tmp_path):
+    application, architecture = fast_request()
+
+    def run(spool, backend):
+        service = AllocationService(
+            str(tmp_path / spool), workers=1, backend=backend
+        ).start()
+        try:
+            return service.wait(service.submit(application, architecture), 60)
+        finally:
+            service.drain(cancel_running=True)
+
+    assert run("shared", "greedy")["source"] == "computed"
+    with collecting() as metrics:
+        reused = run("shared", "exact")
+    assert metrics.snapshot()["counters"]["service.cache.miss"] == 1
+    assert reused["source"] == "computed"
+    assert reused["result"] == run("fresh", "exact")["result"]
+    # the recompute overwrote the greedy entry: exact now hits it
+    assert run("shared", "exact")["source"] == "cache"
 
 
 # -- admission control ----------------------------------------------------
