@@ -27,7 +27,7 @@ to element-only locations.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.analysis.bounds import serialisation_bound, utilisation_bound
 from repro.analysis.diagnostics import (
@@ -40,8 +40,14 @@ from repro.analysis.diagnostics import (
 from repro.appmodel.application import ApplicationGraph
 from repro.arch.architecture import ArchitectureGraph
 from repro.csdf.graph import CSDFGraph
-from repro.sdf.analysis import undirected_components
+from repro.sdf.analysis import stalled_actors, undirected_components
 from repro.sdf.graph import SDFGraph
+from repro.sdf.repetition import (
+    DataflowGraph,
+    InconsistentGraphError,
+    balance,
+    repetition_vector,
+)
 
 
 def _location(model: Any, kind: str, name: str, element: str) -> Location:
@@ -59,81 +65,82 @@ def _location(model: Any, kind: str, name: str, element: str) -> Location:
 
 
 # ---------------------------------------------------------------------------
+# Checks shared by the SDF and CSDF rules (an SDF actor is the one-phase
+# case of a CSDF actor)
+
+
+def _inconsistent_rates(
+    graph: DataflowGraph, rule_id: str, totals: str, hint: str
+) -> Iterator[Diagnostic]:
+    """One finding per inconsistent weakly connected component, at the
+    first conflicting channel :func:`~repro.sdf.repetition.balance`
+    records."""
+    for channel, *_ in balance(graph)[1]:
+        yield Diagnostic(
+            rule_id,
+            ERROR,
+            f"inconsistent rates: channel {channel.name!r} "
+            f"({channel.src} -> {channel.dst}, {totals}"
+            f"{channel.total_production}/{channel.total_consumption}) "
+            f"contradicts the rates derived from the rest of its component",
+            _location(graph, "channel", channel.name, f"channel {channel.name!r}"),
+            hint=hint,
+        )
+
+
+def _structural_deadlock(
+    graph: DataflowGraph, rule_id: str, iteration: str
+) -> Iterator[Diagnostic]:
+    """The stalled actors of one abstract iteration as witness; nothing
+    for an inconsistent graph, which has no repetition vector."""
+    try:
+        gamma = repetition_vector(graph)
+    except InconsistentGraphError:
+        return
+    pending = stalled_actors(graph, gamma)
+    if pending:
+        witness = ", ".join(pending[:5])
+        if len(pending) > 5:
+            witness += f", ... ({len(pending) - 5} more)"
+        yield Diagnostic(
+            rule_id,
+            ERROR,
+            f"structural deadlock: {iteration} stalls with firings "
+            f"still owed by {witness}",
+            _location(graph, "graph", graph.name, f"graph {graph.name!r}"),
+            hint="add initial tokens on a cycle channel to break the deadlock",
+        )
+
+
+def _dead_actors(
+    graph: Union[SDFGraph, CSDFGraph], rule_id: str
+) -> Iterator[Diagnostic]:
+    if len(graph) <= 1:
+        return
+    for actor in graph.actor_names:
+        if not graph.out_channels(actor) and not graph.in_channels(actor):
+            yield Diagnostic(
+                rule_id,
+                WARNING,
+                f"dead actor: {actor!r} has no incident channels and "
+                f"cannot exchange data with the rest of the graph",
+                _location(graph, "actor", actor, f"actor {actor!r}"),
+                hint="connect the actor or drop it from the graph",
+            )
+
+
+# ---------------------------------------------------------------------------
 # SDF graph rules
-
-
-def _rate_conflicts(graph: SDFGraph) -> List[str]:
-    """Channel names whose balance equation contradicts earlier ones.
-
-    Re-derives the fractional repetition vector the way
-    :func:`repro.sdf.repetition.repetition_vector` does, but instead of
-    raising on the first contradiction it records the conflicting
-    channel and moves on to the next weakly-connected component, so one
-    lint run reports every inconsistent component.
-    """
-    conflicts: List[str] = []
-    fractional: Dict[str, Fraction] = {}
-    for seed in graph.actor_names:
-        if seed in fractional:
-            continue
-        fractional[seed] = Fraction(1)
-        stack = [seed]
-        clean = True
-        while stack and clean:
-            actor = stack.pop()
-            rate = fractional[actor]
-            for channel in graph.out_channels(actor):
-                implied = rate * channel.production / channel.consumption
-                known = fractional.get(channel.dst)
-                if known is None:
-                    fractional[channel.dst] = implied
-                    stack.append(channel.dst)
-                elif known != implied:
-                    conflicts.append(channel.name)
-                    clean = False
-                    break
-            if not clean:
-                break
-            for channel in graph.in_channels(actor):
-                implied = rate * channel.consumption / channel.production
-                known = fractional.get(channel.src)
-                if known is None:
-                    fractional[channel.src] = implied
-                    stack.append(channel.src)
-                elif known != implied:
-                    conflicts.append(channel.name)
-                    clean = False
-                    break
-        if not clean:
-            # mark the rest of the component visited without deriving
-            # further rates, so later components start fresh
-            while stack:
-                actor = stack.pop()
-                for channel in graph.out_channels(actor):
-                    if channel.dst not in fractional:
-                        fractional[channel.dst] = Fraction(1)
-                        stack.append(channel.dst)
-                for channel in graph.in_channels(actor):
-                    if channel.src not in fractional:
-                        fractional[channel.src] = Fraction(1)
-                        stack.append(channel.src)
-    return conflicts
 
 
 def sdf001_inconsistent_rates(graph: SDFGraph) -> Iterator[Diagnostic]:
     """SDF001: the balance equations admit no repetition vector."""
-    for channel_name in _rate_conflicts(graph):
-        channel = graph.channel(channel_name)
-        yield Diagnostic(
-            "SDF001",
-            ERROR,
-            f"inconsistent rates: channel {channel_name!r} "
-            f"({channel.src} -> {channel.dst}, "
-            f"{channel.production}/{channel.consumption}) contradicts the "
-            f"rates derived from the rest of its component",
-            _location(graph, "channel", channel_name, f"channel {channel_name!r}"),
-            hint="balance p * gamma(src) = q * gamma(dst) on every channel",
-        )
+    return _inconsistent_rates(
+        graph,
+        "SDF001",
+        "",
+        "balance p * gamma(src) = q * gamma(dst) on every channel",
+    )
 
 
 def sdf002_structural_deadlock(graph: SDFGraph) -> Iterator[Diagnostic]:
@@ -143,70 +150,12 @@ def sdf002_structural_deadlock(graph: SDFGraph) -> Iterator[Diagnostic]:
     repetition vector does not exist).  The witness names the actors
     that still owe firings when execution stalls.
     """
-    from repro.sdf.repetition import (
-        InconsistentGraphError,
-        repetition_vector,
-    )
-
-    try:
-        gamma = repetition_vector(graph)
-    except InconsistentGraphError:
-        return
-    remaining = dict(gamma)
-    tokens = {c.name: c.tokens for c in graph.channels}
-    pending = [a for a in graph.actor_names if remaining[a] > 0]
-
-    def enabled(actor: str) -> bool:
-        return all(
-            tokens[c.name] >= c.consumption for c in graph.in_channels(actor)
-        )
-
-    progressed = True
-    while progressed:
-        progressed = False
-        still_pending: List[str] = []
-        for actor in pending:
-            fired = False
-            while remaining[actor] > 0 and enabled(actor):
-                for channel in graph.in_channels(actor):
-                    tokens[channel.name] -= channel.consumption
-                for channel in graph.out_channels(actor):
-                    tokens[channel.name] += channel.production
-                remaining[actor] -= 1
-                fired = True
-            if fired:
-                progressed = True
-            if remaining[actor] > 0:
-                still_pending.append(actor)
-        pending = still_pending
-    if pending:
-        witness = ", ".join(pending[:5])
-        if len(pending) > 5:
-            witness += f", ... ({len(pending) - 5} more)"
-        yield Diagnostic(
-            "SDF002",
-            ERROR,
-            f"structural deadlock: one iteration stalls with firings "
-            f"still owed by {witness}",
-            _location(graph, "graph", graph.name, f"graph {graph.name!r}"),
-            hint="add initial tokens on a cycle channel to break the deadlock",
-        )
+    return _structural_deadlock(graph, "SDF002", "one iteration")
 
 
 def sdf003_dead_actor(graph: SDFGraph) -> Iterator[Diagnostic]:
     """SDF003: an actor with no incident channels in a multi-actor graph."""
-    if len(graph) <= 1:
-        return
-    for actor in graph.actor_names:
-        if not graph.out_channels(actor) and not graph.in_channels(actor):
-            yield Diagnostic(
-                "SDF003",
-                WARNING,
-                f"dead actor: {actor!r} has no incident channels and "
-                f"cannot exchange data with the rest of the graph",
-                _location(graph, "actor", actor, f"actor {actor!r}"),
-                hint="connect the actor or drop it from the graph",
-            )
+    return _dead_actors(graph, "SDF003")
 
 
 def sdf004_starved_self_loop(graph: SDFGraph) -> Iterator[Diagnostic]:
@@ -269,74 +218,15 @@ def sdf006_disconnected(graph: SDFGraph) -> Iterator[Diagnostic]:
 # CSDF graph rules
 
 
-def _csdf_rate_conflicts(graph: CSDFGraph) -> List[str]:
-    """Channel names violating the cycle-level CSDF balance equations."""
-    conflicts: List[str] = []
-    fractional: Dict[str, Fraction] = {}
-    for seed in graph.actor_names:
-        if seed in fractional:
-            continue
-        fractional[seed] = Fraction(1)
-        stack = [seed]
-        clean = True
-        while stack and clean:
-            actor = stack.pop()
-            rate = fractional[actor]
-            for channel in graph.out_channels(actor):
-                implied = (
-                    rate * channel.total_production / channel.total_consumption
-                )
-                known = fractional.get(channel.dst)
-                if known is None:
-                    fractional[channel.dst] = implied
-                    stack.append(channel.dst)
-                elif known != implied:
-                    conflicts.append(channel.name)
-                    clean = False
-                    break
-            if not clean:
-                break
-            for channel in graph.in_channels(actor):
-                implied = (
-                    rate * channel.total_consumption / channel.total_production
-                )
-                known = fractional.get(channel.src)
-                if known is None:
-                    fractional[channel.src] = implied
-                    stack.append(channel.src)
-                elif known != implied:
-                    conflicts.append(channel.name)
-                    clean = False
-                    break
-        if not clean:
-            while stack:
-                actor = stack.pop()
-                for channel in graph.out_channels(actor):
-                    if channel.dst not in fractional:
-                        fractional[channel.dst] = Fraction(1)
-                        stack.append(channel.dst)
-                for channel in graph.in_channels(actor):
-                    if channel.src not in fractional:
-                        fractional[channel.src] = Fraction(1)
-                        stack.append(channel.src)
-    return conflicts
-
-
 def csd001_inconsistent_rates(graph: CSDFGraph) -> Iterator[Diagnostic]:
     """CSD001: the cycle-level balance equations have no solution."""
-    for channel_name in _csdf_rate_conflicts(graph):
-        channel = graph.channel(channel_name)
-        yield Diagnostic(
-            "CSD001",
-            ERROR,
-            f"inconsistent rates: channel {channel_name!r} "
-            f"({channel.src} -> {channel.dst}, cycle totals "
-            f"{channel.total_production}/{channel.total_consumption}) "
-            f"contradicts the rates derived from the rest of its component",
-            _location(graph, "channel", channel_name, f"channel {channel_name!r}"),
-            hint="balance total_production * gamma(src) = "
-            "total_consumption * gamma(dst) on every channel",
-        )
+    return _inconsistent_rates(
+        graph,
+        "CSD001",
+        "cycle totals ",
+        "balance total_production * gamma(src) = "
+        "total_consumption * gamma(dst) on every channel",
+    )
 
 
 def csd002_structural_deadlock(graph: CSDFGraph) -> Iterator[Diagnostic]:
@@ -344,74 +234,14 @@ def csd002_structural_deadlock(graph: CSDFGraph) -> Iterator[Diagnostic]:
 
     Skipped for inconsistent graphs (CSD001 already fired).
     """
-    from repro.csdf.analysis import (
-        InconsistentCSDFError,
-        csdf_repetition_vector,
+    return _structural_deadlock(
+        graph, "CSD002", "one phase-accurate iteration"
     )
-
-    try:
-        remaining = csdf_repetition_vector(graph)
-    except InconsistentCSDFError:
-        return
-    tokens = {c.name: c.tokens for c in graph.channels}
-    fired: Dict[str, int] = {a: 0 for a in graph.actor_names}
-
-    def enabled(actor: str) -> bool:
-        phase = fired[actor] % graph.actor(actor).phase_count
-        return all(
-            tokens[c.name] >= c.consumptions[phase]
-            for c in graph.in_channels(actor)
-        )
-
-    progressed = True
-    pending = [a for a in graph.actor_names if remaining[a] > 0]
-    while progressed:
-        progressed = False
-        still_pending: List[str] = []
-        for actor in pending:
-            moved = False
-            while remaining[actor] > 0 and enabled(actor):
-                phase = fired[actor] % graph.actor(actor).phase_count
-                for channel in graph.in_channels(actor):
-                    tokens[channel.name] -= channel.consumptions[phase]
-                for channel in graph.out_channels(actor):
-                    tokens[channel.name] += channel.productions[phase]
-                fired[actor] += 1
-                remaining[actor] -= 1
-                moved = True
-            if moved:
-                progressed = True
-            if remaining[actor] > 0:
-                still_pending.append(actor)
-        pending = still_pending
-    if pending:
-        witness = ", ".join(pending[:5])
-        if len(pending) > 5:
-            witness += f", ... ({len(pending) - 5} more)"
-        yield Diagnostic(
-            "CSD002",
-            ERROR,
-            f"structural deadlock: one phase-accurate iteration stalls "
-            f"with firings still owed by {witness}",
-            _location(graph, "graph", graph.name, f"graph {graph.name!r}"),
-            hint="add initial tokens on a cycle channel to break the deadlock",
-        )
 
 
 def csd003_dead_actor(graph: CSDFGraph) -> Iterator[Diagnostic]:
     """CSD003: an actor with no incident channels in a multi-actor graph."""
-    if len(graph) <= 1:
-        return
-    for actor in graph.actor_names:
-        if not graph.out_channels(actor) and not graph.in_channels(actor):
-            yield Diagnostic(
-                "CSD003",
-                WARNING,
-                f"dead actor: {actor!r} has no incident channels and "
-                f"cannot exchange data with the rest of the graph",
-                _location(graph, "actor", actor, f"actor {actor!r}"),
-                hint="connect the actor or drop it from the graph",
-            )
+    return _dead_actors(graph, "CSD003")
 
 
 # ---------------------------------------------------------------------------

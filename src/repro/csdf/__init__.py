@@ -11,7 +11,8 @@ Provided here:
 
 * the CSDF graph model (:mod:`repro.csdf.graph`),
 * phase-aware repetition vectors and liveness
-  (:mod:`repro.csdf.analysis`),
+  (:mod:`repro.csdf.analysis`), which are the SDF solver and abstract
+  iteration of :mod:`repro.sdf` reading a CSDF graph directly,
 * exact self-timed state-space throughput with per-firing phases
   (:mod:`repro.csdf.throughput`),
 * lossless conversions between single-phase CSDF and SDF

@@ -6,23 +6,27 @@ counting complete phase cycles of ``a``, every channel needs
 The firing-level repetition vector is ``gamma(a) * phase_count(a)``.
 Liveness is decided, as for SDF, by abstractly executing one complete
 iteration phase-accurately.
+
+Both are the SDF solver and iteration of :mod:`repro.sdf.repetition`
+and :mod:`repro.sdf.analysis`, which read every graph as CSDF (an SDF
+actor is the one-phase case); the CSDF names below are bound to them.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd
-from typing import Dict, List
+from typing import Dict
 
 from repro.csdf.graph import CSDFGraph
+from repro.sdf.analysis import is_deadlock_free
+from repro.sdf.repetition import (
+    InconsistentGraphError,
+    is_consistent,
+    repetition_vector,
+)
 
-
-class InconsistentCSDFError(ValueError):
-    """Raised when a CSDF graph admits no non-trivial repetition vector."""
-
-
-def _lcm(a: int, b: int) -> int:
-    return a // gcd(a, b) * b
+InconsistentCSDFError = InconsistentGraphError
+is_csdf_consistent = is_consistent
+is_csdf_deadlock_free = is_deadlock_free
 
 
 def csdf_repetition_vector(
@@ -34,106 +38,10 @@ def csdf_repetition_vector(
     (phase cycles times phase count); ``firings=False`` returns the
     phase-cycle counts the balance equations are solved in.
     """
-    if len(graph) == 0:
-        return {}
-    fractional: Dict[str, Fraction] = {}
-    for seed in graph.actor_names:
-        if seed in fractional:
-            continue
-        fractional[seed] = Fraction(1)
-        stack = [seed]
-        while stack:
-            actor = stack.pop()
-            rate = fractional[actor]
-            for channel in graph.out_channels(actor):
-                implied = (
-                    rate * channel.total_production / channel.total_consumption
-                )
-                known = fractional.get(channel.dst)
-                if known is None:
-                    fractional[channel.dst] = implied
-                    stack.append(channel.dst)
-                elif known != implied:
-                    raise InconsistentCSDFError(
-                        f"graph {graph.name!r}: channel {channel.name!r} "
-                        f"implies gamma({channel.dst}) = {implied} != {known}"
-                    )
-            for channel in graph.in_channels(actor):
-                implied = (
-                    rate * channel.total_consumption / channel.total_production
-                )
-                known = fractional.get(channel.src)
-                if known is None:
-                    fractional[channel.src] = implied
-                    stack.append(channel.src)
-                elif known != implied:
-                    raise InconsistentCSDFError(
-                        f"graph {graph.name!r}: channel {channel.name!r} "
-                        f"implies gamma({channel.src}) = {implied} != {known}"
-                    )
-
-    denominator_lcm = 1
-    for value in fractional.values():
-        denominator_lcm = _lcm(denominator_lcm, value.denominator)
-    cycles = {
-        name: int(value * denominator_lcm)
-        for name, value in fractional.items()
-    }
-    overall = 0
-    for value in cycles.values():
-        overall = gcd(overall, value)
-    cycles = {name: value // overall for name, value in cycles.items()}
-    if not firings:
-        return cycles
+    gamma = repetition_vector(graph)
+    if firings:
+        return gamma
     return {
-        name: value * graph.actor(name).phase_count
-        for name, value in cycles.items()
+        name: count // graph.actor(name).phase_count
+        for name, count in gamma.items()
     }
-
-
-def is_csdf_consistent(graph: CSDFGraph) -> bool:
-    """True when the graph has a non-trivial repetition vector."""
-    try:
-        csdf_repetition_vector(graph)
-    except InconsistentCSDFError:
-        return False
-    return True
-
-
-def is_csdf_deadlock_free(graph: CSDFGraph) -> bool:
-    """True when one complete iteration executes phase-accurately."""
-    remaining = csdf_repetition_vector(graph)
-    tokens = {c.name: c.tokens for c in graph.channels}
-    fired: Dict[str, int] = {a: 0 for a in graph.actor_names}
-
-    def enabled(actor: str) -> bool:
-        phase = fired[actor]
-        return all(
-            tokens[c.name]
-            >= c.consumptions[phase % graph.actor(actor).phase_count]
-            for c in graph.in_channels(actor)
-        )
-
-    progressed = True
-    pending: List[str] = [a for a in graph.actor_names if remaining[a] > 0]
-    while progressed:
-        progressed = False
-        still_pending: List[str] = []
-        for actor in pending:
-            moved = False
-            while remaining[actor] > 0 and enabled(actor):
-                phase_count = graph.actor(actor).phase_count
-                phase = fired[actor] % phase_count
-                for channel in graph.in_channels(actor):
-                    tokens[channel.name] -= channel.consumptions[phase]
-                for channel in graph.out_channels(actor):
-                    tokens[channel.name] += channel.productions[phase]
-                fired[actor] += 1
-                remaining[actor] -= 1
-                moved = True
-            if moved:
-                progressed = True
-            if remaining[actor] > 0:
-                still_pending.append(actor)
-        pending = still_pending
-    return not pending

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.csdf.analysis import csdf_repetition_vector
 from repro.csdf.graph import CSDFGraph
 from repro.sdf.analysis import strongly_connected_components
+from repro.sdf.repetition import repetition_vector
 from repro.throughput.kernel import DEFAULT_MAX_STATES, ExecutionResult, Kernel
 from repro.throughput.state_space import ThroughputResult, scc_throughput
 
@@ -31,7 +31,7 @@ def csdf_throughput(
     max_states: int = DEFAULT_MAX_STATES,
 ) -> ThroughputResult:
     """Self-timed throughput of a CSDF graph (SCC-wise, exact)."""
-    cycles = csdf_repetition_vector(graph, firings=False)
+    gamma = repetition_vector(graph)
 
     def execute(component: Sequence[str], _: object) -> ExecutionResult:
         members = set(component)
@@ -50,8 +50,11 @@ def csdf_throughput(
     return scc_throughput(
         graph,
         strongly_connected_components(graph),
-        csdf_repetition_vector(graph),
-        lambda a: sum(graph.actor(a).execution_times) * cycles[a],
+        gamma,
+        # one iteration runs gamma(a) / phase_count(a) full phase cycles
+        lambda a: sum(graph.actor(a).execution_times)
+        * gamma[a]
+        // graph.actor(a).phase_count,
         execute,
         auto_concurrency,
     )

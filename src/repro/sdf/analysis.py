@@ -4,6 +4,8 @@ Deadlock-freedom is decided by abstractly executing one full iteration of
 the graph (time-free): repeatedly fire any actor that still owes firings
 this iteration and has enough tokens.  A consistent SDFG is deadlock-free
 iff one complete iteration can be executed this way (Lee & Messerschmitt).
+The one iteration reads every graph as CSDF, an SDF actor being the
+one-phase case, so CSDF liveness and the lint rules on both share it.
 
 Strongly connected components drive both the state-space throughput
 engine (throughput of a graph = min over SCCs) and cycle-based
@@ -15,7 +17,7 @@ from __future__ import annotations
 from typing import Dict, List, Protocol, Set
 
 from repro.sdf.graph import SDFGraph
-from repro.sdf.repetition import repetition_vector
+from repro.sdf.repetition import DataflowGraph, repetition_vector
 
 
 class Digraph(Protocol):
@@ -86,41 +88,48 @@ def is_strongly_connected(graph: SDFGraph) -> bool:
     return len(strongly_connected_components(graph)) == 1
 
 
-def is_deadlock_free(graph: SDFGraph) -> bool:
-    """True when one complete iteration can execute from the initial tokens.
+def stalled_actors(graph: DataflowGraph, gamma: Dict[str, int]) -> List[str]:
+    """The actors that still owe firings when one abstract iteration stalls.
 
-    The graph must be consistent; inconsistent graphs raise
-    :class:`repro.sdf.repetition.InconsistentGraphError`.
+    Executes the iteration ``gamma`` without time, phase by phase: an
+    actor's ``k``-th firing runs phase ``k mod phase_count`` and fires
+    whenever its inputs hold the tokens that phase consumes.  An empty
+    list means the graph is live.
     """
-    gamma = repetition_vector(graph)
     remaining = dict(gamma)
     tokens = {c.name: c.tokens for c in graph.channels}
     pending = [a for a in graph.actor_names if remaining[a] > 0]
-
-    def enabled(actor: str) -> bool:
-        return all(
-            tokens[c.name] >= c.consumption for c in graph.in_channels(actor)
-        )
-
     progressed = True
     while progressed:
         progressed = False
         still_pending: List[str] = []
         for actor in pending:
-            fired = 0
-            while remaining[actor] > 0 and enabled(actor):
-                for channel in graph.in_channels(actor):
-                    tokens[channel.name] -= channel.consumption
-                for channel in graph.out_channels(actor):
-                    tokens[channel.name] += channel.production
+            inputs = graph.in_channels(actor)
+            outputs = graph.out_channels(actor)
+            phases = graph.actor(actor).phase_count
+            while remaining[actor] > 0:
+                phase = (gamma[actor] - remaining[actor]) % phases
+                if any(tokens[c.name] < c.consumptions[phase] for c in inputs):
+                    break
+                for channel in inputs:
+                    tokens[channel.name] -= channel.consumptions[phase]
+                for channel in outputs:
+                    tokens[channel.name] += channel.productions[phase]
                 remaining[actor] -= 1
-                fired += 1
-            if fired:
                 progressed = True
             if remaining[actor] > 0:
                 still_pending.append(actor)
         pending = still_pending
-    return not pending
+    return pending
+
+
+def is_deadlock_free(graph: DataflowGraph) -> bool:
+    """True when one complete iteration can execute from the initial tokens.
+
+    The graph must be consistent; inconsistent graphs raise
+    :class:`repro.sdf.repetition.InconsistentGraphError`.
+    """
+    return not stalled_actors(graph, repetition_vector(graph))
 
 
 def undirected_components(graph: SDFGraph) -> List[List[str]]:

@@ -44,6 +44,11 @@ class Actor:
                 f"got {self.execution_time}"
             )
 
+    @property
+    def phase_count(self) -> int:
+        """1: an SDF actor is the one-phase case of a CSDF actor."""
+        return 1
+
     def __hash__(self) -> int:
         return hash(self.name)
 
@@ -85,6 +90,23 @@ class Channel:
     def is_self_loop(self) -> bool:
         """True when source and destination actor coincide."""
         return self.src == self.dst
+
+    # The rates as a one-phase CSDF channel reads them.
+    @property
+    def productions(self) -> Tuple[int, ...]:
+        return (self.production,)
+
+    @property
+    def consumptions(self) -> Tuple[int, ...]:
+        return (self.consumption,)
+
+    @property
+    def total_production(self) -> int:
+        return self.production
+
+    @property
+    def total_consumption(self) -> int:
+        return self.consumption
 
     def __hash__(self) -> int:
         return hash(self.name)

@@ -5,91 +5,151 @@ for every channel ``(a, b, p, q)``.  A consistent SDFG has a non-trivial
 (everywhere positive) repetition vector; *the* repetition vector is the
 smallest such vector.  Inconsistent graphs either deadlock or need
 unbounded memory, so the allocation strategy rejects them up front.
+
+The one solver here reads every graph as CSDF, an SDF actor being the
+one-phase case: it balances full phase cycles,
+``total_production * c(src) = total_consumption * c(dst)``, and an
+actor fires ``c(a) * phase_count(a)`` times per iteration.  SDF and
+CSDF graphs, and the lint rules on both, share it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
-from typing import Dict, Optional
-
-from repro.sdf.graph import SDFGraph
+from math import gcd, lcm
+from typing import Dict, List, Optional, Protocol, Sequence, Tuple
 
 
 class InconsistentGraphError(ValueError):
     """Raised when a graph admits no non-trivial repetition vector."""
 
 
-def _lcm(a: int, b: int) -> int:
-    return a // gcd(a, b) * b
+class RatedChannel(Protocol):
+    """A channel as the solver and the abstract iteration read it."""
+
+    name: str
+    src: str
+    dst: str
+    tokens: int
+
+    @property
+    def productions(self) -> Tuple[int, ...]: ...
+
+    @property
+    def consumptions(self) -> Tuple[int, ...]: ...
+
+    @property
+    def total_production(self) -> int: ...
+
+    @property
+    def total_consumption(self) -> int: ...
 
 
-def repetition_vector(graph: SDFGraph) -> Dict[str, int]:
-    """The smallest non-trivial repetition vector of ``graph``.
+class PhasedActor(Protocol):
+    """An actor as the solver and the iteration read it."""
 
-    Raises :class:`InconsistentGraphError` when the graph is not
-    consistent.  Works per weakly-connected component: each component is
-    solved independently and scaled to the smallest integer vector.
+    @property
+    def phase_count(self) -> int: ...
+
+
+class DataflowGraph(Protocol):
+    """An SDF or a CSDF graph, as the solver and the iteration read it."""
+
+    name: str
+
+    @property
+    def actor_names(self) -> List[str]: ...
+
+    @property
+    def channels(self) -> Sequence[RatedChannel]: ...
+
+    def actor(self, name: str) -> PhasedActor: ...
+
+    def out_channels(self, actor: str) -> Sequence[RatedChannel]: ...
+
+    def in_channels(self, actor: str) -> Sequence[RatedChannel]: ...
+
+
+#: a contradicted balance equation: the channel, the actor whose rate it
+#: implies, the implied rate and the rate already derived
+Conflict = Tuple[RatedChannel, str, Fraction, Fraction]
+
+
+def balance(graph: DataflowGraph) -> Tuple[Dict[str, Fraction], List[Conflict]]:
+    """Phase-cycle rates solving the balance equations of ``graph``.
+
+    Each weakly connected component is traversed from a seed at rate 1
+    (seeds in actor order, out-channels before in-channels), and every
+    channel to an actor not yet reached fixes that actor's rate.  A
+    channel contradicting a rate already derived is a conflict.  The
+    first conflict of a component is recorded and the traversal goes on
+    to the component's end, so each inconsistent component yields
+    exactly one conflict.  No conflict means the graph is consistent.
     """
-    if len(graph) == 0:
-        return {}
-
-    fractional: Dict[str, Fraction] = {}
+    rates: Dict[str, Fraction] = {}
+    conflicts: List[Conflict] = []
     for seed in graph.actor_names:
-        if seed in fractional:
+        if seed in rates:
             continue
-        fractional[seed] = Fraction(1)
+        rates[seed] = Fraction(1)
         stack = [seed]
+        clean = True
         while stack:
             actor = stack.pop()
-            rate = fractional[actor]
-            for channel in graph.out_channels(actor):
-                implied = rate * channel.production / channel.consumption
-                known = fractional.get(channel.dst)
+            rate = rates[actor]
+            implied = [
+                (c, c.dst, rate * c.total_production / c.total_consumption)
+                for c in graph.out_channels(actor)
+            ]
+            implied += [
+                (c, c.src, rate * c.total_consumption / c.total_production)
+                for c in graph.in_channels(actor)
+            ]
+            for channel, other, value in implied:
+                known = rates.get(other)
                 if known is None:
-                    fractional[channel.dst] = implied
-                    stack.append(channel.dst)
-                elif known != implied:
-                    raise InconsistentGraphError(
-                        f"graph {graph.name!r}: channel {channel.name!r} "
-                        f"implies gamma({channel.dst}) = {implied}, but "
-                        f"{known} was already derived"
-                    )
-            for channel in graph.in_channels(actor):
-                implied = rate * channel.consumption / channel.production
-                known = fractional.get(channel.src)
-                if known is None:
-                    fractional[channel.src] = implied
-                    stack.append(channel.src)
-                elif known != implied:
-                    raise InconsistentGraphError(
-                        f"graph {graph.name!r}: channel {channel.name!r} "
-                        f"implies gamma({channel.src}) = {implied}, but "
-                        f"{known} was already derived"
-                    )
+                    rates[other] = value
+                    stack.append(other)
+                elif known != value and clean:
+                    conflicts.append((channel, other, value, known))
+                    clean = False
+    return rates, conflicts
 
-    denominator_lcm = 1
-    for value in fractional.values():
-        denominator_lcm = _lcm(denominator_lcm, value.denominator)
-    integral = {
-        name: int(value * denominator_lcm) for name, value in fractional.items()
+
+def repetition_vector(graph: DataflowGraph) -> Dict[str, int]:
+    """The smallest non-trivial repetition vector of ``graph``, in firings.
+
+    Raises :class:`InconsistentGraphError` at the first conflict
+    :func:`balance` records.  The phase-cycle rates of all components
+    are scaled together to the smallest integer vector (one lcm, one
+    gcd), so ``{a->b 1/2, c->d 1/3}`` gives ``{a: 6, b: 3, c: 6, d: 2}``;
+    each actor then fires its phase cycles times its phase count.
+    """
+    rates, conflicts = balance(graph)
+    if conflicts:
+        channel, actor, implied, known = conflicts[0]
+        raise InconsistentGraphError(
+            f"graph {graph.name!r}: channel {channel.name!r} "
+            f"implies gamma({actor}) = {implied}, but "
+            f"{known} was already derived"
+        )
+    scale = lcm(*(rate.denominator for rate in rates.values()))
+    cycles = {name: int(rate * scale) for name, rate in rates.items()}
+    common = gcd(*cycles.values())
+    return {
+        name: count // common * graph.actor(name).phase_count
+        for name, count in cycles.items()
     }
-    overall_gcd = 0
-    for value in integral.values():
-        overall_gcd = gcd(overall_gcd, value)
-    return {name: value // overall_gcd for name, value in integral.items()}
 
 
-def is_consistent(graph: SDFGraph) -> bool:
+def is_consistent(graph: DataflowGraph) -> bool:
     """True when ``graph`` has a non-trivial repetition vector."""
-    try:
-        repetition_vector(graph)
-    except InconsistentGraphError:
-        return False
-    return True
+    return not balance(graph)[1]
 
 
-def iteration_length(graph: SDFGraph, gamma: Optional[Dict[str, int]] = None) -> int:
+def iteration_length(
+    graph: DataflowGraph, gamma: Optional[Dict[str, int]] = None
+) -> int:
     """Total number of firings in one graph iteration (sum of gamma).
 
     This equals the number of actors of the corresponding HSDFG, the

@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Dict, Optional, Set, Tuple
 
 from repro.sdf.graph import SDFGraph
-from repro.sdf.repetition import repetition_vector
+from repro.sdf.repetition import iteration_length, repetition_vector
 
 
 def hsdf_actor_name(actor: str, copy: int) -> str:
@@ -25,12 +25,9 @@ def hsdf_actor_name(actor: str, copy: int) -> str:
     return f"{actor}#{copy}"
 
 
-def hsdf_size(graph: SDFGraph) -> int:
-    """Number of actors of the HSDFG equivalent to ``graph``.
-
-    Cheap (no conversion): it is the sum of the repetition vector.
-    """
-    return sum(repetition_vector(graph).values())
+#: the number of actors of the HSDFG equivalent to a graph, computed
+#: without the conversion: the sum of its repetition vector
+hsdf_size = iteration_length
 
 
 def sdf_to_hsdf(graph: SDFGraph, name: Optional[str] = None) -> SDFGraph:

@@ -9,9 +9,9 @@ diagnose.
 
 from __future__ import annotations
 
-from typing import List
+from typing import Dict, List, Optional
 
-from repro.sdf.analysis import is_connected, is_deadlock_free
+from repro.sdf.analysis import is_connected, stalled_actors
 from repro.sdf.graph import SDFGraph
 from repro.sdf.repetition import InconsistentGraphError, repetition_vector
 
@@ -35,17 +35,20 @@ def validation_problems(
         problems.append("graph has no actors")
         return problems
 
-    consistent = True
+    gamma: Optional[Dict[str, int]] = None
     try:
-        repetition_vector(graph)
+        gamma = repetition_vector(graph)
     except InconsistentGraphError as error:
-        consistent = False
         problems.append(f"inconsistent: {error}")
 
     if require_connected and not is_connected(graph):
         problems.append("graph is not (weakly) connected")
 
-    if require_deadlock_free and consistent and not is_deadlock_free(graph):
+    if (
+        require_deadlock_free
+        and gamma is not None
+        and stalled_actors(graph, gamma)
+    ):
         problems.append("graph deadlocks (cannot complete one iteration)")
 
     for channel in graph.channels:

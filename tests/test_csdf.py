@@ -1,10 +1,12 @@
 """Unit tests for the CSDF subsystem."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from repro.analysis import analyse_csdf, analyse_graph
 from repro.csdf.analysis import (
     InconsistentCSDFError,
     csdf_repetition_vector,
@@ -15,6 +17,9 @@ from repro.csdf.convert import csdf_to_sdf, sdf_to_csdf
 from repro.csdf.graph import CSDFGraph
 from repro.csdf.throughput import csdf_throughput
 from repro.generate.random_sdf import random_sdfg
+from repro.sdf.analysis import is_deadlock_free
+from repro.sdf.graph import SDFGraph
+from repro.sdf.repetition import InconsistentGraphError, repetition_vector
 from repro.throughput.state_space import throughput
 
 
@@ -103,6 +108,61 @@ class TestAnalysis:
         flipped.add_channel("ab", "a", "b", [0, 1], [1])
         flipped.add_channel("ba", "b", "a", [1], [1, 0])
         assert not is_csdf_deadlock_free(flipped)
+
+
+def random_rated_sdf(rng, name):
+    """A small SDF graph with random rates and tokens: unlike
+    ``random_sdfg`` it is often inconsistent or deadlocked."""
+    graph = SDFGraph(name)
+    names = [f"a{i}" for i in range(rng.randint(1, 6))]
+    target = {a: rng.randint(1, 3) for a in names}
+    for a in names:
+        graph.add_actor(a)
+    for k in range(rng.randint(0, 8)):
+        src, dst = rng.choice(names), rng.choice(names)
+        if rng.random() < 0.8:
+            production, consumption = target[dst], target[src]
+        else:
+            production, consumption = rng.randint(1, 3), rng.randint(1, 3)
+        tokens = rng.choice([0, rng.randint(1, 2 * production * consumption)])
+        graph.add_channel(f"c{k}", src, dst, production, consumption, tokens)
+    return graph
+
+
+def structural_findings(report):
+    """Rule number, location and stalled-actor witness of the
+    consistency, deadlock and dead-actor findings."""
+    return [
+        (d.rule_id[3:], d.location.element, d.message.partition("owed by ")[2])
+        for d in report
+        if d.rule_id[3:] in ("001", "002", "003")
+    ]
+
+
+class TestOnePhaseAgreement:
+    def test_lift_gets_the_same_answers(self):
+        rng = random.Random(18)
+        outcomes = Counter()
+        for index in range(200):
+            sdf = random_rated_sdf(rng, f"g{index}")
+            lifted = sdf_to_csdf(sdf)
+            try:
+                gamma = repetition_vector(sdf)
+            except InconsistentGraphError as error:
+                with pytest.raises(InconsistentGraphError) as lifted_error:
+                    csdf_repetition_vector(lifted)
+                assert str(lifted_error.value) == str(error)
+                outcomes["inconsistent"] += 1
+            else:
+                assert csdf_repetition_vector(lifted) == gamma
+                live = is_deadlock_free(sdf)
+                assert is_csdf_deadlock_free(lifted) == live
+                outcomes["live" if live else "deadlocked"] += 1
+            assert structural_findings(analyse_graph(sdf)) == (
+                structural_findings(analyse_csdf(lifted))
+            )
+        # the sample exercises every outcome
+        assert min(outcomes[k] for k in ("inconsistent", "live", "deadlocked")) >= 20
 
 
 class TestThroughput:

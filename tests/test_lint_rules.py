@@ -27,6 +27,7 @@ from repro.analysis import (
 from repro.appmodel.application import ApplicationGraph
 from repro.arch.architecture import ArchitectureGraph
 from repro.arch.tile import ProcessorType, Tile
+from repro.csdf.convert import sdf_to_csdf
 from repro.csdf.graph import CSDFGraph
 from repro.sdf.graph import SDFGraph
 
@@ -51,6 +52,16 @@ def findings(report, rule_id):
     return [d for d in report if d.rule_id == rule_id]
 
 
+def inconsistent_loop():
+    """An inconsistent self-loop on ``a`` beside a satisfiable ``a -> b``."""
+    graph = SDFGraph("loop")
+    graph.add_actor("a")
+    graph.add_actor("b")
+    graph.add_channel("loop", "a", "a", production=2, consumption=1, tokens=2)
+    graph.add_channel("ab", "a", "b", production=1, consumption=2)
+    return graph
+
+
 # ---------------------------------------------------------------------------
 # SDF rules
 
@@ -67,6 +78,12 @@ class TestSDFRules:
         assert finding.location.element == "channel 'd1'"
         assert "inconsistent rates" in finding.message
         assert finding.hint is not None
+
+    def test_sdf001_once_per_component_at_first_conflict(self):
+        # the self-loop contradicts itself; 'ab' is satisfiable and must
+        # not be reported once the loop has cut the traversal short
+        (finding,) = findings(analyse_graph(inconsistent_loop()), "SDF001")
+        assert finding.location.element == "channel 'loop'"
 
     def test_sdf002_structural_deadlock_names_stalled_actors(self):
         graph = SDFGraph("deadlocked")
@@ -147,6 +164,11 @@ class TestCSDFRules:
         (finding,) = findings(analyse_csdf(graph), "CSD001")
         assert finding.severity == ERROR
         assert finding.location.element == "channel 'd1'"
+
+    def test_csd001_once_per_component_at_first_conflict(self):
+        lifted = sdf_to_csdf(inconsistent_loop())
+        (finding,) = findings(analyse_csdf(lifted), "CSD001")
+        assert finding.location.element == "channel 'loop'"
 
     def test_csd002_phase_accurate_deadlock(self):
         graph = CSDFGraph("deadlocked")
