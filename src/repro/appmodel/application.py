@@ -17,7 +17,6 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from repro.arch.tile import ProcessorType
 from repro.sdf.graph import SDFGraph
-from repro.sdf.repetition import repetition_vector
 from repro.sdf.validate import validate_graph
 
 Rate = Union[Fraction, float]
@@ -101,7 +100,7 @@ class ApplicationGraph:
         throughput_constraint: Rate = Fraction(0),
         output_actor: Optional[str] = None,
     ) -> None:
-        validate_graph(graph)
+        self._gamma = validate_graph(graph)
         self.graph = graph
         self.name = graph.name
         self.throughput_constraint = throughput_constraint
@@ -113,7 +112,6 @@ class ApplicationGraph:
         self.output_actor = output_actor or graph.actor_names[-1]
         if not graph.has_actor(self.output_actor):
             raise KeyError(f"unknown output actor {self.output_actor!r}")
-        self._gamma = repetition_vector(graph)
         self.actor_requirements: Dict[str, ActorRequirements] = {
             a: ActorRequirements() for a in graph.actor_names
         }

@@ -11,6 +11,15 @@ one-phase case: it balances full phase cycles,
 ``total_production * c(src) = total_consumption * c(dst)``, and an
 actor fires ``c(a) * phase_count(a)`` times per iteration.  SDF and
 CSDF graphs, and the lint rules on both, share it.
+
+Rates are propagated as reduced integer pairs ``(numerator,
+denominator)``: a channel visit multiplies a pair by the channel's
+integer totals and divides out one ``gcd``.  Each rational has one
+reduced form, so comparing pairs decides exactly what comparing
+:class:`~fractions.Fraction` values would, without building a
+``Fraction`` per visit; ``Fraction`` appears only in what
+:func:`balance` returns and in the message of
+:class:`InconsistentGraphError`.
 """
 
 from __future__ import annotations
@@ -70,9 +79,52 @@ class DataflowGraph(Protocol):
     def in_channels(self, actor: str) -> Sequence[RatedChannel]: ...
 
 
+#: a rational as a reduced integer pair ``(numerator, denominator)``,
+#: the denominator positive, so equal pairs are equal rationals
+Rational = Tuple[int, int]
+
 #: a contradicted balance equation: the channel, the actor whose rate it
-#: implies, the implied rate and the rate already derived
+#: implies, the implied rate and the rate already derived (as pairs in
+#: a ``PairConflict``)
 Conflict = Tuple[RatedChannel, str, Fraction, Fraction]
+PairConflict = Tuple[RatedChannel, str, Rational, Rational]
+
+
+def _propagate(
+    graph: DataflowGraph,
+) -> Tuple[Dict[str, Rational], List[PairConflict]]:
+    """:func:`balance` with every rate a :data:`Rational` pair."""
+    rates: Dict[str, Rational] = {}
+    conflicts: List[PairConflict] = []
+    for seed in graph.actor_names:
+        if seed in rates:
+            continue
+        rates[seed] = (1, 1)
+        stack = [seed]
+        clean = True
+        while stack:
+            actor = stack.pop()
+            num, den = rates[actor]
+            implied = [
+                (c, c.dst, c.total_production, c.total_consumption)
+                for c in graph.out_channels(actor)
+            ]
+            implied += [
+                (c, c.src, c.total_consumption, c.total_production)
+                for c in graph.in_channels(actor)
+            ]
+            for channel, other, multiplier, divisor in implied:
+                top, bottom = num * multiplier, den * divisor
+                common = gcd(top, bottom)
+                value = (top // common, bottom // common)
+                known = rates.get(other)
+                if known is None:
+                    rates[other] = value
+                    stack.append(other)
+                elif known != value and clean:
+                    conflicts.append((channel, other, value, known))
+                    clean = False
+    return rates, conflicts
 
 
 def balance(graph: DataflowGraph) -> Tuple[Dict[str, Fraction], List[Conflict]]:
@@ -85,35 +137,19 @@ def balance(graph: DataflowGraph) -> Tuple[Dict[str, Fraction], List[Conflict]]:
     first conflict of a component is recorded and the traversal goes on
     to the component's end, so each inconsistent component yields
     exactly one conflict.  No conflict means the graph is consistent.
+
+    The traversal compares reduced integer pairs, which are equal
+    exactly when the rationals are; only the rates and conflicts
+    returned here are built as :class:`~fractions.Fraction` values.
     """
-    rates: Dict[str, Fraction] = {}
-    conflicts: List[Conflict] = []
-    for seed in graph.actor_names:
-        if seed in rates:
-            continue
-        rates[seed] = Fraction(1)
-        stack = [seed]
-        clean = True
-        while stack:
-            actor = stack.pop()
-            rate = rates[actor]
-            implied = [
-                (c, c.dst, rate * c.total_production / c.total_consumption)
-                for c in graph.out_channels(actor)
-            ]
-            implied += [
-                (c, c.src, rate * c.total_consumption / c.total_production)
-                for c in graph.in_channels(actor)
-            ]
-            for channel, other, value in implied:
-                known = rates.get(other)
-                if known is None:
-                    rates[other] = value
-                    stack.append(other)
-                elif known != value and clean:
-                    conflicts.append((channel, other, value, known))
-                    clean = False
-    return rates, conflicts
+    rates, conflicts = _propagate(graph)
+    return (
+        {name: Fraction(*rate) for name, rate in rates.items()},
+        [
+            (channel, actor, Fraction(*implied), Fraction(*known))
+            for channel, actor, implied, known in conflicts
+        ],
+    )
 
 
 def repetition_vector(graph: DataflowGraph) -> Dict[str, int]:
@@ -125,16 +161,16 @@ def repetition_vector(graph: DataflowGraph) -> Dict[str, int]:
     gcd), so ``{a->b 1/2, c->d 1/3}`` gives ``{a: 6, b: 3, c: 6, d: 2}``;
     each actor then fires its phase cycles times its phase count.
     """
-    rates, conflicts = balance(graph)
+    rates, conflicts = _propagate(graph)
     if conflicts:
         channel, actor, implied, known = conflicts[0]
         raise InconsistentGraphError(
             f"graph {graph.name!r}: channel {channel.name!r} "
-            f"implies gamma({actor}) = {implied}, but "
-            f"{known} was already derived"
+            f"implies gamma({actor}) = {Fraction(*implied)}, but "
+            f"{Fraction(*known)} was already derived"
         )
-    scale = lcm(*(rate.denominator for rate in rates.values()))
-    cycles = {name: int(rate * scale) for name, rate in rates.items()}
+    scale = lcm(*(den for _, den in rates.values()))
+    cycles = {name: num * (scale // den) for name, (num, den) in rates.items()}
     common = gcd(*cycles.values())
     return {
         name: count // common * graph.actor(name).phase_count
@@ -144,7 +180,7 @@ def repetition_vector(graph: DataflowGraph) -> Dict[str, int]:
 
 def is_consistent(graph: DataflowGraph) -> bool:
     """True when ``graph`` has a non-trivial repetition vector."""
-    return not balance(graph)[1]
+    return not _propagate(graph)[1]
 
 
 def iteration_length(

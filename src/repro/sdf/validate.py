@@ -9,7 +9,7 @@ diagnose.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.sdf.analysis import is_connected, stalled_actors
 from repro.sdf.graph import SDFGraph
@@ -24,16 +24,15 @@ class ValidationError(ValueError):
         super().__init__("; ".join(problems))
 
 
-def validation_problems(
-    graph: SDFGraph,
-    require_connected: bool = True,
-    require_deadlock_free: bool = True,
-) -> List[str]:
-    """All structural problems of ``graph`` (empty list when valid)."""
+def _check(
+    graph: SDFGraph, require_connected: bool, require_deadlock_free: bool
+) -> Tuple[List[str], Optional[Dict[str, int]]]:
+    """The problems of ``graph`` and its repetition vector (None when it
+    has none), from one solve of the balance equations."""
     problems: List[str] = []
     if len(graph) == 0:
         problems.append("graph has no actors")
-        return problems
+        return problems, None
 
     gamma: Optional[Dict[str, int]] = None
     try:
@@ -58,19 +57,29 @@ def validation_problems(
                 f"({channel.production} != {channel.consumption}), "
                 "which is inconsistent"
             )
-    return problems
+    return problems, gamma
+
+
+def validation_problems(
+    graph: SDFGraph,
+    require_connected: bool = True,
+    require_deadlock_free: bool = True,
+) -> List[str]:
+    """All structural problems of ``graph`` (empty list when valid)."""
+    return _check(graph, require_connected, require_deadlock_free)[0]
 
 
 def validate_graph(
     graph: SDFGraph,
     require_connected: bool = True,
     require_deadlock_free: bool = True,
-) -> None:
-    """Raise :class:`ValidationError` when ``graph`` is not well formed."""
-    problems = validation_problems(
-        graph,
-        require_connected=require_connected,
-        require_deadlock_free=require_deadlock_free,
-    )
-    if problems:
+) -> Dict[str, int]:
+    """Raise :class:`ValidationError` when ``graph`` is not well formed.
+
+    Returns the repetition vector the checks solved, so a caller that
+    needs it does not solve the balance equations a second time.
+    """
+    problems, gamma = _check(graph, require_connected, require_deadlock_free)
+    if problems or gamma is None:
         raise ValidationError(problems)
+    return gamma

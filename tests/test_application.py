@@ -10,6 +10,7 @@ from repro.appmodel.application import (
     ChannelRequirements,
 )
 from repro.arch.tile import ProcessorType
+from repro.sdf import repetition
 from repro.sdf.graph import SDFGraph, chain
 from repro.sdf.validate import ValidationError
 
@@ -109,6 +110,19 @@ class TestApplicationGraph:
     def test_gamma_exposed(self):
         app = self.build()
         assert app.gamma == {"a": 1, "b": 1}
+
+    def test_validation_and_gamma_share_one_solve(self, monkeypatch):
+        solved = []
+        solve = repetition._propagate
+        monkeypatch.setattr(
+            repetition,
+            "_propagate",
+            lambda graph: solved.append(graph.name) or solve(graph),
+        )
+        app = self.build()
+        clone = app.copy()
+        assert solved == [app.name, clone.name]
+        assert clone.gamma == app.gamma == {"a": 1, "b": 1}
 
     def test_check_complete_flags_missing_requirements(self):
         app = self.build()

@@ -4,9 +4,11 @@ These go beyond the unit tests: they sweep the slice space exhaustively
 on the running example to check the two facts the binary searches rely
 on — throughput is monotone in every slice, and the allocation the
 strategy returns is locally minimal (no single slice can shrink without
-breaking the constraint).
+breaking the constraint).  Monotonicity is also sampled on greedy
+allocations of generated applications.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,9 +20,11 @@ from repro.appmodel.example import (
     paper_example_architecture,
     paper_example_binding,
 )
+from repro.arch.presets import benchmark_architectures
 from repro.core.scheduling import build_static_order_schedules
 from repro.core.slices import allocate_time_slices
 from repro.core.strategy import ResourceAllocator
+from repro.generate.benchmark import generate_benchmark_set
 from repro.throughput.constrained import constrained_throughput
 
 
@@ -66,6 +70,40 @@ def test_throughput_monotone_in_each_slice(example_setup):
             assert rates[(slice_t1 + 1, slice_t2)] >= rate
         if slice_t2 < wheel:
             assert rates[(slice_t1, slice_t2 + 1)] >= rate
+
+
+def test_throughput_monotone_in_each_slice_on_generated_applications():
+    """At random slice vectors of greedy allocations of generated
+    applications, one more slot on one tile never lowers the output
+    actor's constrained throughput."""
+    architecture = benchmark_architectures()[0]
+    applications = generate_benchmark_set(
+        "mixed", 6, architecture.processor_types(), seed=3
+    )
+    allocator = ResourceAllocator()
+    rng = random.Random(4)
+    pairs = 0
+    for application in applications:
+        allocation = allocator.allocate(application, architecture)
+        tiles = allocation.binding.used_tiles()
+        wheels = {t: architecture.tile(t).wheel for t in tiles}
+        schedules = {t: allocation.scheduling.schedule_of(t) for t in tiles}
+
+        def rate(slices):
+            return evaluate(
+                application, architecture, allocation.binding, schedules, slices
+            )
+
+        for _ in range(20):
+            tile = rng.choice(tiles)
+            slices = {t: rng.randint(1, wheels[t]) for t in tiles}
+            slices[tile] = rng.randint(1, wheels[tile] - 1)
+            lower = rate(slices)
+            slices[tile] += 1
+            raised = rate(slices)
+            assert raised >= lower, (application.name, tile, slices, lower, raised)
+            pairs += 1
+    assert pairs >= 100
 
 
 @pytest.mark.parametrize(

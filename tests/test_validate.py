@@ -83,4 +83,4 @@ def test_error_carries_problem_list():
 
 
 def test_valid_multirate_graph(multirate_graph):
-    validate_graph(multirate_graph)
+    assert validate_graph(multirate_graph) == {"a": 3, "b": 2}
