@@ -85,15 +85,23 @@ perfbench-selftest:
 	$(PYTHON) perfbench/selftest.py
 
 # The same correctness gates at full size: one pass of every perfbench
-# workload at the default seed and the held-out one; fails on any
-# non-zero exit.
+# workload at the default seed and the held-out one.  Fails on any
+# non-zero exit, and when a run's deterministic work counters (its
+# `counters {...}` line: states explored, throughput checks, search
+# nodes, cache hits) differ from tools/perfbench_counters.json.  That
+# file holds the expected counters per workload and seed; a change that
+# only makes the program faster leaves them as they are, and a change
+# that alters the work on purpose records the new values there.
 PERFBENCH_WORKLOADS = flow-mixed exact-corpus analysis-corpus service-mix
 PERFBENCH_SEEDS = 1 1009
 perfbench-gate:
 	@for seed in $(PERFBENCH_SEEDS); do \
 		for workload in $(PERFBENCH_WORKLOADS); do \
 			echo "perfbench-gate: $$workload seed $$seed"; \
-			$(PYTHON) perfbench/run.py --workload $$workload --seed $$seed --seconds 0 \
+			report=$$($(PYTHON) perfbench/run.py --workload $$workload --seed $$seed \
+				--seconds 0) || { printf '%s\n' "$$report"; exit 1; }; \
+			printf '%s\n' "$$report" \
+				| $(PYTHON) tools/check_perfbench_counters.py $$workload $$seed \
 				|| exit 1; \
 		done; \
 	done

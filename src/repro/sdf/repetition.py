@@ -157,9 +157,9 @@ def repetition_vector(graph: DataflowGraph) -> Dict[str, int]:
 
     Raises :class:`InconsistentGraphError` at the first conflict
     :func:`balance` records.  The phase-cycle rates of all components
-    are scaled together to the smallest integer vector (one lcm, one
-    gcd), so ``{a->b 1/2, c->d 1/3}`` gives ``{a: 6, b: 3, c: 6, d: 2}``;
-    each actor then fires its phase cycles times its phase count.
+    are scaled together to the smallest integer vector (one lcm), so
+    ``{a->b 1/2, c->d 1/3}`` gives ``{a: 6, b: 3, c: 6, d: 2}``; each
+    actor then fires its phase cycles times its phase count.
     """
     rates, conflicts = _propagate(graph)
     if conflicts:
@@ -170,11 +170,9 @@ def repetition_vector(graph: DataflowGraph) -> Dict[str, int]:
             f"{Fraction(*known)} was already derived"
         )
     scale = lcm(*(den for _, den in rates.values()))
-    cycles = {name: num * (scale // den) for name, (num, den) in rates.items()}
-    common = gcd(*cycles.values())
     return {
-        name: count // common * graph.actor(name).phase_count
-        for name, count in cycles.items()
+        name: num * (scale // den) * graph.actor(name).phase_count
+        for name, (num, den) in rates.items()
     }
 
 

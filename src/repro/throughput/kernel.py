@@ -3,8 +3,9 @@
 Self-timed execution (paper ref [10]): an actor starts a firing as soon
 as its inputs hold enough tokens, consumes them at the start and
 produces at the end, ``tau`` time units later.  An SDF actor is a CSDF
-actor with one phase; a firing in progress is one int, ``remaining *
-phases + phase``.
+actor with one phase; outside :meth:`Kernel.run` (:class:`Frontier`,
+checkpoints, certificates) a firing in progress is one int, ``remaining
+* phases + phase``.
 
 Tiles restrict the execution (paper §8.2): an actor bound to a tile
 starts only when the tile is idle and the tile's dispatch policy picks
@@ -21,22 +22,31 @@ Each instant starts firings in rounds that test, in index order, only
 the actors and tiles whose start condition may have changed: consumers
 of channels that gained tokens, serial actors and tiles whose firing
 ended, ready-list actors just dequeued.  Every channel has one consumer,
-so nothing else can have become enabled.  Inside :meth:`Kernel.run` a
-tile firing is held as its completion instant, from one
-:func:`gated_finish` call at its start; outside (:class:`Frontier`,
-checkpoints, certificates) it is remaining work, like a free firing.
+so nothing else can have become enabled.
+
+Inside :meth:`Kernel.run` every firing in progress is held by its
+completion instant.  A tile firing is ``(actor, end, phase)``, with
+``end`` from one :func:`gated_finish` call at its start.  The firings
+of actors bound to no tile share one ascending list of ints, the
+completion calendar, each ``(end * n + actor) * P + phase`` for ``n``
+actors and ``P`` the largest phase count: the next event is
+``calendar[0] // (n * P)``, and the firings that end then are the
+calendar's prefix, in actor order.
 
 After the starts of each instant the state (tokens, firings in
 progress, schedule positions or ready lists, wheel phases, next phases)
-is hashed; the first repeated state closes the periodic phase.  A tile
-firing enters the key as its time to completion, which the wheel phases
-map one-to-one onto remaining work (:meth:`Kernel.convert_seen`).  Front
-ends turn the result into certificates, checkpoints and metrics.
+is hashed; the first repeated state closes the periodic phase.  The
+unbound firings enter the key as the calendar minus ``time * n * P``,
+one flat tuple of (time to completion, actor, phase) codes, and a tile
+firing as its time to completion, which the wheel phases map
+one-to-one onto remaining work.  :meth:`Kernel.convert_seen` turns both
+into the remaining-work key of checkpoints and back.  Front ends turn
+the result into certificates, checkpoints and metrics.
 """
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -157,7 +167,9 @@ class Frontier:
     tokens: List[int]
     #: phase of each actor's next firing
     phase: List[int]
-    #: per unbound actor, its firings in progress
+    #: per unbound actor, its firings in progress as remaining work *
+    #: phases + phase; :meth:`Kernel.run` holds them in its completion
+    #: calendar while it runs
     active: List[List[int]]
     #: per tile, its firing in progress as (actor, remaining work *
     #: phases + phase); :meth:`Kernel.run` holds it as (actor, completion
@@ -229,6 +241,8 @@ class Kernel:
         self.actors = list(times)
         self.times = [tuple(t) for t in times.values()]
         self.phases = [len(t) for t in self.times]
+        #: ``P`` of the completion calendar
+        self.max_phases = max(self.phases, default=1)
         self.index = index = {a: i for i, a in enumerate(self.actors)}
         self.tokens = [channel[4] for channel in channels]
         self.serial = serial
@@ -331,25 +345,57 @@ class Kernel:
         )
         return (a, work * self.phases[a] + ph)
 
+    def _calendar(
+        self, active: Sequence[Tuple[int, Sequence[int]]], time: int
+    ) -> List[int]:
+        """The completion calendar at ``time`` of (actor, remaining work
+        encodings) pairs of unbound actors."""
+        n, most, phases = len(self.times), self.max_phases, self.phases
+        return sorted(
+            ((time + e // phases[a]) * n + a) * most + e % phases[a]
+            for a, firings in active
+            for e in firings
+        )
+
+    def _active(self, calendar: Sequence[int], time: int) -> List[List[int]]:
+        """Inverse of :meth:`_calendar`: per actor, its remaining work
+        encodings, ascending."""
+        n, most, phases = len(self.times), self.max_phases, self.phases
+        active: List[List[int]] = [[] for _ in range(n)]
+        for e in calendar:
+            rest, ph = divmod(e, most)
+            end, a = divmod(rest, n)
+            active[a].append((end - time) * phases[a] + ph)
+        return active
+
     def convert_seen(self, seen: Seen, *, to_work: bool) -> Seen:
-        """``seen`` with its tile firings keyed by remaining work, the
-        checkpoint format (``to_work``), or by time to completion, the
-        format of :meth:`run`; one-to-one because each key holds the
-        wheel phases and each value the time."""
-        if not self.tiles:
-            return seen
-        phased = any(p > 1 for p in self.phases)
+        """``seen`` keyed by remaining work, the checkpoint format
+        (``to_work``), or as :meth:`run` keys it: unbound firings as
+        calendar offsets, tile firings by time to completion.  One-to-one
+        because each key holds the wheel phases and each value the time;
+        the remaining-work key lists each busy unbound actor's firings,
+        ascending, in actor order."""
+        phased = self.max_phases > 1
         converted: Seen = {}
         for key, value in seen.items():
-            time, firings = value[0], list(key[2])
-            for t, f in enumerate(firings):
-                if f is not None and to_work:
-                    # a tile firing's phase precedes its actor's next one
-                    ph = (key[-1][f[0]] - 1) % self.phases[f[0]] if phased else 0
-                    firings[t] = self._work(t, (f[0], f[1] + time, ph), time)
-                elif f is not None:
-                    firings[t] = (f[0], self._instant(t, f, time)[1] - time)
-            converted[key[:2] + (tuple(firings),) + key[3:]] = value
+            time = value[0]
+            if to_work:
+                free = enumerate(self._active(key[1], 0))
+                unbound: Tuple = tuple([(a, tuple(f)) for a, f in free if f])
+            else:
+                unbound = tuple(self._calendar(key[1], 0))
+            key = (key[0], unbound) + key[2:]
+            if self.tiles:
+                firings = list(key[2])
+                for t, f in enumerate(firings):
+                    if f is not None and to_work:
+                        # a tile firing's phase precedes its actor's next one
+                        ph = (key[-1][f[0]] - 1) % self.phases[f[0]] if phased else 0
+                        firings[t] = self._work(t, (f[0], f[1] + time, ph), time)
+                    elif f is not None:
+                        firings[t] = (f[0], self._instant(t, f, time)[1] - time)
+                key = key[:2] + (tuple(firings),) + key[3:]
+            converted[key] = value
         return converted
 
     def run(
@@ -377,17 +423,20 @@ class Kernel:
         explore = until is None
         target, count = until or (0, 0)
         wheels = [tile.wheel for tile in tiles]
-        phased = any(p > 1 for p in phases)
-        tokens, phase, active = state.tokens, state.phase, state.active
+        most = self.max_phases
+        phased = most > 1
+        tokens, phase = state.tokens, state.phase
         completed, dispatch = state.completed, state.dispatch
         seen, time = state.seen, state.time
-        # the key takes one-phase firing lists as ascending, which they
-        # stay; a resumed state need not list them in order
-        if not phased:
-            for f in active:
-                f.sort()
-        # unbound actors with firings in progress, ascending
-        busy = [a for a, f in enumerate(active) if f and tile_of[a] is None]
+        # the unbound firings' completion calendar, and the codes of one
+        # time unit
+        n = len(times)
+        span = n * most
+        calendar = self._calendar(
+            [(a, f) for a, f in enumerate(state.active) if tile_of[a] is None], time
+        )
+        # serial runs: firings in flight per actor (at most one)
+        running = [len(f) for f in state.active] if serial else []
         tile_active = [
             f and self._instant(t, f, time) for t, f in enumerate(state.tile_active)
         ]
@@ -505,8 +554,7 @@ class Kernel:
                                     in_ready[a] = True
                                     work |= bits[first_tile + tile_of[a]]
                             continue
-                        firing = active[a]
-                        while burst <= BURST_LIMIT and not (serial and firing):
+                        while burst <= BURST_LIMIT and not (serial and running[a]):
                             ph = phase[a]
                             ins = inputs[a][ph]
                             checks += 1
@@ -521,9 +569,12 @@ class Kernel:
                                     phase[a] = (ph + 1) % phases[a]
                                 duration = times[a][ph]
                                 if duration:
-                                    if not firing:
-                                        insort(busy, a)
-                                    firing.append(duration * phases[a] + ph)
+                                    insort(
+                                        calendar,
+                                        ((time + duration) * n + a) * most + ph,
+                                    )
+                                    if serial:
+                                        running[a] += 1
                                     if on_firing is not None:
                                         free_started[a].append(time)
                                 else:
@@ -553,12 +604,8 @@ class Kernel:
 
                 # -- recurrence (or the target completion count)
                 if explore:
-                    key: Tuple = (
-                        tuple(tokens),
-                        tuple([(a, tuple(sorted(active[a]))) for a in busy])
-                        if phased
-                        else tuple([(a, tuple(active[a])) for a in busy]),
-                    )
+                    now = time * span
+                    key: Tuple = (tuple(tokens), tuple([e - now for e in calendar]))
                     if tiles:
                         key += (
                             tuple([f and (f[0], f[1] - time) for f in tile_active]),
@@ -575,8 +622,10 @@ class Kernel:
                             transient_time=first[0],
                             period=time - first[0],
                             period_firings={
-                                actor: n - m
-                                for actor, n, m in zip(self.actors, completed, first[1])
+                                actor: done - before
+                                for actor, done, before in zip(
+                                    self.actors, completed, first[1]
+                                )
                             },
                             states_explored=len(seen),
                         )
@@ -591,14 +640,7 @@ class Kernel:
                     return time
 
                 # -- advance to the next completion
-                next_time = None
-                for a in busy:
-                    f = active[a]
-                    remaining = min(f) // phases[a] if phased else f[0]
-                    if next_time is None or remaining < next_time:
-                        next_time = remaining
-                if next_time is not None:
-                    next_time += time
+                next_time = calendar[0] // span if calendar else None
                 for f in tile_active:
                     if f is not None and (next_time is None or f[1] < next_time):
                         next_time = f[1]
@@ -614,30 +656,24 @@ class Kernel:
                     return None
                 if on_step is not None:
                     on_step(time, next_time)
-                step = next_time - time
-                emptied = False
-                for a in busy:
-                    p = phases[a]
-                    drop = step * p
-                    f = active[a] = [e - drop for e in active[a]]
-                    if (min(f) if phased else f[0]) >= p:
-                        continue
-                    active[a] = [e for e in f if e >= p]
-                    for e in f:
-                        if e < p:
-                            for c, r, m in outputs[a][e]:
-                                tokens[c] += r
-                                marks |= m
-                            completed[a] += 1
-                            if on_firing is not None and free_started[a]:
-                                on_firing(
-                                    actors[a], None, free_started[a].pop(0), next_time
-                                )
-                    if serial:
-                        marks |= bits[a]
-                    emptied = emptied or not active[a]
-                if emptied:
-                    busy = [a for a in busy if active[a]]
+                ending = bisect_left(calendar, (next_time + 1) * span)
+                if ending:
+                    base = next_time * n
+                    for e in calendar[:ending]:
+                        a, ph = divmod(e, most)
+                        a -= base
+                        for c, r, m in outputs[a][ph]:
+                            tokens[c] += r
+                            marks |= m
+                        completed[a] += 1
+                        if serial:
+                            running[a] -= 1
+                            marks |= bits[a]
+                        if on_firing is not None and free_started[a]:
+                            on_firing(
+                                actors[a], None, free_started[a].pop(0), next_time
+                            )
+                    del calendar[:ending]
                 for t, f in enumerate(tile_active):
                     if f is not None and f[1] == next_time:
                         a = f[0]
@@ -660,6 +696,7 @@ class Kernel:
         finally:
             state.time = time
             state.enablement_checks += checks
+            state.active = self._active(calendar, time)
             state.tile_active = [
                 f and self._work(t, f, time) for t, f in enumerate(tile_active)
             ]

@@ -172,7 +172,9 @@ class SelfTimedExecution:
             state.active = [list(firing) for firing in resume["active"]]
             state.completed = list(resume["completed"])
             state.starts = resume["firing_starts"]
-            state.seen = seen_from_json(resume["seen"])
+            state.seen = self._kernel.convert_seen(
+                seen_from_json(resume["seen"]), to_work=False
+            )
         try:
             result = self._run(state)
         except BudgetExceededError as error:
@@ -184,7 +186,9 @@ class SelfTimedExecution:
                 "active": [list(firing) for firing in state.active],
                 "completed": list(state.completed),
                 "firing_starts": state.starts,
-                "seen": seen_to_json(state.seen),
+                "seen": seen_to_json(
+                    self._kernel.convert_seen(state.seen, to_work=True)
+                ),
             }
             raise
         if not result.deadlocked:

@@ -24,10 +24,12 @@ its trace shows which round each zero-time start falls in.
 
 ``tests/fixtures/checkpoint_v1_*.json`` are budget-interrupted
 explorations (format version 1): one per checkpoint kind interrupted
-half-way, and one constrained run interrupted a state before its
+half-way; one constrained run interrupted a state before its
 recurrence, whose visited map already holds the recurrent state with a
-TDMA-gated tile firing in progress.  The fixture records the result an
-uninterrupted run reports for each.
+TDMA-gated tile firing in progress; and one self-timed run of a small
+ring interrupted where two actors are busy, one of them with several
+firings in flight.  The fixture records the result an uninterrupted run
+reports for each.
 
 Regenerate, only when an output change is intended::
 
@@ -76,6 +78,7 @@ CHECKPOINTS = {
     "constrained": "checkpoint_v1_constrained.json",
 }
 RECURRENT_CHECKPOINT = "checkpoint_v1_constrained_recurrent.json"
+CONCURRENT_CHECKPOINT = "checkpoint_v1_state_space_concurrent.json"
 #: largest state count of a recorded zero-time constrained case (traces
 #: grow with the states)
 TRACED_STATES = 600
@@ -597,6 +600,30 @@ def _record_rounds(corpus: _Corpus) -> None:
     )
 
 
+def _record_concurrent(corpus: _Corpus) -> None:
+    """A ring whose self-timed run keeps several firings of one actor in
+    flight while another actor is busy: ``C``'s three tokens start three
+    ``A`` firings at once, whose outputs queue behind ``B`` and ``C``."""
+    graph = SDFGraph("concurrent-ring")
+    for actor, time in (("A", 2), ("B", 3), ("C", 5)):
+        graph.add_actor(actor, time)
+    for src, dst, tokens in (("A", "B", 1), ("B", "C", 1), ("C", "A", 3)):
+        graph.add_channel(f"{src}-{dst}", src, dst, 1, 1, tokens)
+    for concurrency in (True, False):
+        corpus.add(
+            "self_timed",
+            source="concurrent-ring",
+            **corpus.sdf(graph),
+            auto_concurrency=concurrency,
+        )
+
+
+def overlapping(active: List[List[int]]) -> bool:
+    """Whether a frontier has two actors busy, one of them with two or
+    more firings in flight."""
+    return sum(1 for firings in active if firings) >= 2 and max(map(len, active)) >= 2
+
+
 def _recurrent_case(corpus: _Corpus) -> Dict[str, Any]:
     """The smallest constrained case whose recurrent state holds a gated
     tile firing whose remaining work differs from its time to completion."""
@@ -632,7 +659,9 @@ def _recurrent_case(corpus: _Corpus) -> Dict[str, Any]:
 
 def _record_checkpoints(corpus: _Corpus) -> List[Dict[str, Any]]:
     """Interrupt explorations and store their checkpoints: one per kind
-    half-way, and one constrained run a state before its recurrence."""
+    half-way, one constrained run a state before its recurrence, and the
+    concurrent ring at the last state whose frontier is
+    :func:`overlapping`."""
     entries = []
     sdf = max(
         (
@@ -651,10 +680,16 @@ def _record_checkpoints(corpus: _Corpus) -> List[Dict[str, Any]]:
         key=lambda case: case["out"]["states"],
     )
     recurrent = _recurrent_case(corpus)
+    concurrent = next(
+        case
+        for case in corpus.cases["self_timed"]
+        if case.get("source") == "concurrent-ring" and case["auto_concurrency"]
+    )
     for kind, case, name in (
         ("state-space", sdf, CHECKPOINTS["state-space"]),
         ("constrained", constrained, CHECKPOINTS["constrained"]),
         ("constrained", recurrent, RECURRENT_CHECKPOINT),
+        ("state-space", concurrent, CONCURRENT_CHECKPOINT),
     ):
         graph = _sdf(case, corpus.graphs)
         if kind == "state-space":
@@ -666,10 +701,21 @@ def _record_checkpoints(corpus: _Corpus) -> List[Dict[str, Any]]:
             run = lambda budget: constrained_throughput(  # noqa: E731
                 graph, tiles, max_states=case["max_states"], budget=budget
             )
-        try:
-            run(Budget(max_states=states - 1 if case is recurrent else states // 2))
-        except BudgetExceededError as error:
-            checkpoint = error.partial["checkpoint"]
+        if case is recurrent:
+            limits: Any = [states - 1]
+        elif case is concurrent:
+            limits = range(states - 1, 0, -1)
+        else:
+            limits = [states // 2]
+        for limit in limits:
+            try:
+                run(Budget(max_states=limit))
+            except BudgetExceededError as error:
+                checkpoint = error.partial["checkpoint"]
+                if case is not concurrent or overlapping(
+                    checkpoint["engine_state"]["active"]
+                ):
+                    break
         else:
             raise AssertionError(f"{kind}: budget did not interrupt the run")
         checkpoint["budget"]["elapsed"] = 0.0
@@ -725,6 +771,7 @@ def record() -> Dict[str, Any]:
     _record_flows(corpus)
     _record_zero_time(corpus)
     _record_rounds(corpus)
+    _record_concurrent(corpus)
     for kind, cases in corpus.cases.items():
         for case in cases:
             case["out"] = RUNNERS[kind](case, corpus.graphs)

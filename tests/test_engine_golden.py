@@ -14,12 +14,15 @@ from repro.resilience.budget import Budget, BudgetExceededError
 from repro.resilience.checkpoint import read_checkpoint, resume_from_checkpoint
 from repro.sdf.serialization import graph_from_dict
 from repro.throughput.constrained import constrained_throughput
+from repro.throughput.state_space import throughput
 from tests.engine_golden import (
+    CONCURRENT_CHECKPOINT,
     FIXTURES,
     GOLDEN,
     RECURRENT_CHECKPOINT,
     RUNNERS,
     _tiles,
+    overlapping,
     resume_outcome,
 )
 
@@ -60,6 +63,25 @@ def test_kernel_checkpoint_is_rewritten_byte_for_byte():
         constrained_throughput(
             graph_from_dict(recorded["graph"]),
             _tiles(recorded["tiles"]),
+            max_states=recorded["max_states"],
+            budget=Budget(max_states=recorded["budget"]["states_charged"] - 1),
+        )
+    checkpoint = raised.value.partial["checkpoint"]
+    checkpoint["budget"]["elapsed"] = 0.0
+    assert json.dumps(checkpoint) + "\n" == text
+
+
+def test_state_space_checkpoint_is_rewritten_byte_for_byte():
+    # a self-timed run interrupted with two actors busy, one of them with
+    # several firings in flight; its visited map holds such states too
+    text = (FIXTURES / CONCURRENT_CHECKPOINT).read_text()
+    recorded = json.loads(text)
+    assert overlapping(recorded["engine_state"]["active"])
+    with pytest.raises(BudgetExceededError) as raised:
+        throughput(
+            graph_from_dict(recorded["graph"]),
+            recorded["execution_times"],
+            recorded["auto_concurrency"],
             max_states=recorded["max_states"],
             budget=Budget(max_states=recorded["budget"]["states_charged"] - 1),
         )

@@ -294,7 +294,9 @@ def test_oom_child_quarantines_with_oom_verdict(tmp_path):
 
 @pytest.mark.slow
 def test_cpu_limit_quarantines_with_cpu_verdict(tmp_path):
-    service = _service(tmp_path, retry=ONE_SHOT)
+    # the exact backend's search takes seconds of CPU on this request,
+    # well past the limit; the greedy one ends close to it
+    service = _service(tmp_path, retry=ONE_SHOT, backend="exact")
     try:
         application, architecture = slow_request(macroblocks=200)
         record = service.wait(
