@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install lint lint-source test test-fast test-robustness test-verify test-exact test-service test-telemetry test-chaos test-sanitizer bench perfbench-selftest perfbench-gate bench-tables bench-full experiments examples clean
+.PHONY: install lint lint-source test test-fast test-robustness test-verify test-exact test-service test-telemetry test-chaos test-sanitizer bench perfbench-selftest perfbench-gate paper-tables bench-tables bench-full experiments examples clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -105,6 +105,12 @@ perfbench-gate:
 				|| exit 1; \
 		done; \
 	done
+
+# The paper-table reproductions under benchmarks/ as plain tests, timing
+# off: they assert the paper's Table 3 binding rows and the Table 4 and 5
+# shapes through the binding, constraint and slice code.
+paper-tables:
+	$(PYTHON) -m pytest benchmarks/ --benchmark-disable -q
 
 # pytest-benchmark tables reproducing the paper's result tables.
 bench-tables:

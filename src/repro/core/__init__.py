@@ -7,7 +7,9 @@ The strategy runs three steps, each exactly once:
    bound to the tile minimising the load-balancing cost function
    (Eqn. 2, :mod:`repro.core.tile_cost`), subject to the Section 7
    resource constraints (:mod:`repro.core.constraints`); a reverse-order
-   rebinding pass then improves the balance.
+   rebinding pass then improves the balance.  Both the cost and the
+   constraints read one per-tile account of the binding,
+   :func:`repro.core.tile_cost.tile_usage`.
 2. **Static-order scheduling** (:mod:`repro.core.scheduling`): a list
    scheduler executes the binding-aware graph (50% slice assumption)
    and records per-tile firing orders, which are then compacted.

@@ -31,17 +31,35 @@ class BindingError(RuntimeError):
     """Raised when no valid binding exists for some actor."""
 
 
-def _candidate_tiles(
+def ranked_tiles(
     application: ApplicationGraph,
     architecture: ArchitectureGraph,
+    binding: Binding,
     actor: str,
+    weights: CostWeights,
 ) -> List[str]:
+    """The tiles that support ``actor``, cheapest first.
+
+    Each tile is scored by its Eqn. 2 cost with ``actor`` provisionally
+    bound there; ties go to the earlier tile of the architecture.
+    ``binding`` is left as it was.  The greedy binder and the exact
+    search branch in this order.
+    """
     requirements = application.requirements(actor)
-    return [
-        tile.name
-        for tile in architecture.tiles
-        if requirements.supports(tile.processor_type)
-    ]
+    scored = []
+    for rank, tile in enumerate(architecture.tiles):
+        if not requirements.supports(tile.processor_type):
+            continue
+        binding.bind(actor, tile.name)
+        try:
+            cost = tile_cost(
+                application, architecture, binding, tile.name, weights
+            )
+        finally:
+            binding.unbind(actor)
+        scored.append((cost, rank, tile.name))
+    scored.sort()
+    return [name for _, _, name in scored]
 
 
 def bind_application(
@@ -68,25 +86,14 @@ def bind_application(
     for actor in order:
         if budget is not None:
             budget.checkpoint()
-        candidates = _candidate_tiles(application, architecture, actor)
+        candidates = ranked_tiles(
+            application, architecture, binding, actor, weights
+        )
         if not candidates:
             raise BindingError(
                 f"actor {actor!r} is supported by no tile of "
                 f"{architecture.name!r}"
             )
-
-        def provisional_cost(tile_name: str) -> float:
-            binding.bind(actor, tile_name)
-            try:
-                return tile_cost(
-                    application, architecture, binding, tile_name, weights
-                )
-            finally:
-                binding.unbind(actor)
-
-        tile_order = {name: i for i, name in enumerate(architecture.tile_names)}
-        candidates.sort(key=lambda t: (provisional_cost(t), tile_order[t]))
-
         placed = False
         for tile_name in candidates:
             binding.bind(actor, tile_name)
@@ -96,13 +103,9 @@ def bind_application(
             binding.unbind(actor)
             retries += 1
         if not placed:
-            violations = []
-            for tile_name in candidates[:1]:
-                binding.bind(actor, tile_name)
-                violations = binding_violations(
-                    application, architecture, binding
-                )
-                binding.unbind(actor)
+            binding.bind(actor, candidates[0])
+            violations = binding_violations(application, architecture, binding)
+            binding.unbind(actor)
             raise BindingError(
                 f"no feasible tile for actor {actor!r}; e.g. on "
                 f"{candidates[0]!r}: "
@@ -136,13 +139,18 @@ def _rebalance(
             budget.checkpoint()
         original = binding.tile_of(actor)
         binding.unbind(actor)
-        candidates = _candidate_tiles(application, architecture, actor)
+        requirements = application.requirements(actor)
         # Cost of the binding *without* the actor steers the re-sort.
-        candidates.sort(
+        candidates = sorted(
+            (
+                tile.name
+                for tile in architecture.tiles
+                if requirements.supports(tile.processor_type)
+            ),
             key=lambda t: (
                 tile_cost(application, architecture, binding, t, weights),
                 tile_order[t],
-            )
+            ),
         )
         placed = False
         for tile_name in candidates:

@@ -8,7 +8,9 @@ A binding is resource-feasible when, for every tile,
 3. the NI connection count fits (``|D_src| + |D_dst| <= c_t``),
 4. the summed channel bandwidths fit the incoming/outgoing limits.
 
-The same accounting, after slice allocation, yields the
+Every sum comes from :func:`repro.core.tile_cost.tile_usage`, the
+account Eqn. 2 reads too.  The same accounting, after slice
+allocation, yields the
 :class:`~repro.arch.resources.ResourceReservation` an accepted
 application commits to the architecture.
 """
@@ -22,7 +24,7 @@ from repro.appmodel.application import ApplicationGraph
 from repro.appmodel.binding import Binding
 from repro.arch.architecture import ArchitectureGraph
 from repro.arch.resources import ResourceReservation
-from repro.core.tile_cost import channel_sets, memory_demand
+from repro.core.tile_cost import tile_usage
 
 
 @dataclass
@@ -54,62 +56,39 @@ def binding_violations(
     which are reported as ``connection-missing`` violations.
     """
     violations: List[ConstraintViolation] = []
-    for tile_name in binding.used_tiles():
+    for tile_name, usage in tile_usage(
+        application, architecture, binding
+    ).items():
         tile = architecture.tile(tile_name)
-        sets = channel_sets(application, binding, tile_name)
-
         if tile.wheel_remaining < 1:
             violations.append(
                 ConstraintViolation(tile_name, "time-slice", 1, 0)
             )
-
-        demand = memory_demand(application, binding, tile)
-        if demand > tile.memory_remaining:
-            violations.append(
-                ConstraintViolation(
-                    tile_name, "memory", demand, tile.memory_remaining
-                )
-            )
-
-        connection_count = len(sets.src) + len(sets.dst)
-        if connection_count > tile.connections_remaining:
-            violations.append(
-                ConstraintViolation(
-                    tile_name,
-                    "connections",
-                    connection_count,
-                    tile.connections_remaining,
-                )
-            )
-
-        outgoing = sum(application.channel(c.name).bandwidth for c in sets.src)
-        if outgoing > tile.bandwidth_out_remaining:
-            violations.append(
-                ConstraintViolation(
-                    tile_name,
-                    "output-bandwidth",
-                    outgoing,
-                    tile.bandwidth_out_remaining,
-                )
-            )
-        incoming = sum(application.channel(c.name).bandwidth for c in sets.dst)
-        if incoming > tile.bandwidth_in_remaining:
-            violations.append(
-                ConstraintViolation(
-                    tile_name,
-                    "input-bandwidth",
-                    incoming,
-                    tile.bandwidth_in_remaining,
-                )
-            )
-
-        for channel in sets.src:
-            dst_tile = binding.tile_of(channel.dst)
-            if not application.channel(channel.name).crossable:
+        for constraint, demanded, available in (
+            ("memory", usage.memory, tile.memory_remaining),
+            ("connections", usage.connections, tile.connections_remaining),
+            (
+                "output-bandwidth",
+                usage.bandwidth_out,
+                tile.bandwidth_out_remaining,
+            ),
+            (
+                "input-bandwidth",
+                usage.bandwidth_in,
+                tile.bandwidth_in_remaining,
+            ),
+        ):
+            if demanded > available:
                 violations.append(
-                    ConstraintViolation(tile_name, "connection-missing", 1, 0)
+                    ConstraintViolation(
+                        tile_name, constraint, demanded, available
+                    )
                 )
-            elif not architecture.connected(tile_name, dst_tile):
+        for channel in usage.outgoing:
+            crossable = application.channel(channel.name).crossable
+            if not crossable or not architecture.connected(
+                tile_name, binding.tile_of(channel.dst)
+            ):
                 violations.append(
                     ConstraintViolation(tile_name, "connection-missing", 1, 0)
                 )
@@ -133,18 +112,14 @@ def reservation_for(
 ) -> ResourceReservation:
     """The resource claims of a complete binding (plus optional slices)."""
     reservation = ResourceReservation()
-    for tile_name in binding.used_tiles():
-        tile = architecture.tile(tile_name)
-        sets = channel_sets(application, binding, tile_name)
+    for tile_name, usage in tile_usage(
+        application, architecture, binding
+    ).items():
         claim = reservation.tile(tile_name)
-        claim.memory = memory_demand(application, binding, tile)
-        claim.connections = len(sets.src) + len(sets.dst)
-        claim.bandwidth_out = sum(
-            application.channel(c.name).bandwidth for c in sets.src
-        )
-        claim.bandwidth_in = sum(
-            application.channel(c.name).bandwidth for c in sets.dst
-        )
+        claim.memory = usage.memory
+        claim.connections = usage.connections
+        claim.bandwidth_out = usage.bandwidth_out
+        claim.bandwidth_in = usage.bandwidth_in
         if slices is not None:
             claim.time_slice = slices.get(tile_name, 0)
     return reservation

@@ -24,7 +24,7 @@ from typing import Any, Dict, Optional
 
 from repro.appmodel.binding_aware import BindingAwareGraph
 from repro.appmodel.binding import SchedulingFunction
-from repro.core.tile_cost import tile_loads
+from repro.core.tile_cost import tile_usage
 from repro.obs import get_metrics
 from repro.resilience.budget import Budget, BudgetExceededError
 from repro.throughput.constrained import (
@@ -149,17 +149,13 @@ def allocate_time_slices(
 
         # -- phase 2: per-tile refinement ------------------------------
         if refine and len(tile_names) > 0:
-            loads = {
-                name: tile_loads(
-                    application, bag.architecture, bag.binding, name
-                ).processing
-                for name in tile_names
-            }
-            max_load = max(loads.values())
+            # l_p(t) / max l_p = work(t) / max work: the total work cancels
+            usage = tile_usage(application, bag.architecture, bag.binding)
+            max_work = max(usage[name].work for name in tile_names)
             for name in tile_names:
                 upper = slices[name]
-                if max_load > 0:
-                    lower = int(loads[name] * upper / max_load)
+                if max_work > 0:
+                    lower = usage[name].work * upper // max_work
                 else:
                     lower = 1
                 lower = max(lower, 1)

@@ -20,7 +20,7 @@ from repro.appmodel.binding_aware import (
 )
 from repro.arch.architecture import ArchitectureGraph
 from repro.core.binding import BindingError, bind_application
-from repro.core.constraints import reservation_for
+from repro.core.constraints import binding_violations, reservation_for
 from repro.core.scheduling import SchedulingError, build_static_order_schedules
 from repro.core.slices import SliceAllocationError, allocate_time_slices
 from repro.core.tile_cost import CostWeights
@@ -88,8 +88,9 @@ class ResourceAllocator:
         """Run the strategy for one application.
 
         A pre-computed ``binding`` skips step 1 (used by experiments
-        that sweep schedules or slices for a fixed binding).  The
-        returned allocation is *not* committed; call
+        that sweep schedules or slices for a fixed binding); one that
+        violates a Section 7 constraint raises :class:`AllocationError`.
+        The returned allocation is *not* committed; call
         ``allocation.reservation.commit(architecture)`` to occupy the
         resources (as :mod:`repro.core.flow` does).
 
@@ -121,6 +122,15 @@ class ResourceAllocator:
                             optimise=self.optimise_binding,
                             cycle_limit=self.cycle_limit,
                             budget=budget,
+                        )
+                else:
+                    violations = binding_violations(
+                        application, architecture, binding
+                    )
+                    if violations:
+                        raise BindingError(
+                            "the given binding violates Section 7: "
+                            + "; ".join(str(v) for v in violations)
                         )
                 with obs.timer("allocate.binding_aware"):
                     bag = build_binding_aware_graph(

@@ -10,19 +10,19 @@ normalised quantities (paper Section 9.1):
 * ``l_c`` — communication: the average of outgoing-bandwidth,
   incoming-bandwidth and NI-connection usage fractions.
 
-Channels are classified relative to a tile exactly as in Section 7
-(``D_t,tile``, ``D_t,src``, ``D_t,dst``); channels whose other endpoint
-is still unbound are not counted (the greedy binder learns about them
-when that endpoint is placed).  The combined cost is
-``c1*l_p + c2*l_m + c3*l_c`` with user-chosen weights — the knob the
-paper's Tables 3-5 sweep.
+:func:`tile_usage` classifies channels relative to a tile exactly as
+in Section 7 (``D_t,tile``, ``D_t,src``, ``D_t,dst``) and sums them per
+tile once for every reader; channels whose other endpoint is still
+unbound are not counted (the greedy binder learns about them when that
+endpoint is placed).  The combined cost is ``c1*l_p + c2*l_m + c3*l_c``
+with user-chosen weights — the knob the paper's Tables 3-5 sweep.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List
+from typing import Dict, List
 
 from repro.appmodel.application import ApplicationGraph
 from repro.appmodel.binding import Binding
@@ -61,37 +61,6 @@ class CostWeights:
 
 
 @dataclass
-class ChannelSets:
-    """The Section 7 channel sets of one tile under a binding."""
-
-    tile: List[Channel]
-    src: List[Channel]
-    dst: List[Channel]
-
-
-def channel_sets(
-    application: ApplicationGraph, binding: Binding, tile_name: str
-) -> ChannelSets:
-    """``D_t,tile``, ``D_t,src`` and ``D_t,dst`` for ``tile_name``.
-
-    Only channels with both endpoints bound are classified.
-    """
-    sets = ChannelSets([], [], [])
-    for channel in application.graph.channels:
-        if not (binding.is_bound(channel.src) and binding.is_bound(channel.dst)):
-            continue
-        src_tile = binding.tile_of(channel.src)
-        dst_tile = binding.tile_of(channel.dst)
-        if src_tile == tile_name and dst_tile == tile_name:
-            sets.tile.append(channel)
-        elif src_tile == tile_name:
-            sets.src.append(channel)
-        elif dst_tile == tile_name:
-            sets.dst.append(channel)
-    return sets
-
-
-@dataclass
 class TileLoad:
     """The three load fractions of one tile."""
 
@@ -108,26 +77,103 @@ class TileLoad:
         )
 
 
-def memory_demand(
+def _fraction_or_penalty(amount: int, available: int) -> Fraction:
+    if available > 0:
+        return Fraction(amount, available)
+    return Fraction(0) if amount == 0 else Fraction(10**9)
+
+
+@dataclass
+class TileUsage:
+    """What a binding claims on one tile, in integers.
+
+    The sums run over the tile's actors and its Section 7 channel sets:
+    ``D_t,tile`` (both endpoints on the tile), ``D_t,src`` (source on
+    the tile, destination elsewhere) and ``D_t,dst`` (the reverse).
+    """
+
+    #: ``sum_{a on t} gamma(a) * tau(a)``
+    work: int = 0
+    #: actor state plus the ``D_t,tile``, ``D_t,src`` and ``D_t,dst``
+    #: buffers, in bits
+    memory: int = 0
+    #: summed bandwidth of ``D_t,src``
+    bandwidth_out: int = 0
+    #: summed bandwidth of ``D_t,dst``
+    bandwidth_in: int = 0
+    #: NI connections, ``|D_t,src| + |D_t,dst|``
+    connections: int = 0
+    #: ``D_t,src`` in channel order
+    outgoing: List[Channel] = field(default_factory=list)
+
+    def load(self, tile: Tile, total_work: int) -> TileLoad:
+        """The ``(l_p, l_m, l_c)`` of this usage on ``tile``.
+
+        Denominators use the tile's *remaining* capacities, so the cost
+        naturally steers later applications away from occupied tiles
+        (the paper assumes unavailable resources are simply not
+        specified).
+        """
+        processing = (
+            Fraction(self.work, total_work) if total_work else Fraction(0)
+        )
+        communication = (
+            _fraction_or_penalty(
+                self.bandwidth_out, tile.bandwidth_out_remaining
+            )
+            + _fraction_or_penalty(
+                self.bandwidth_in, tile.bandwidth_in_remaining
+            )
+            + _fraction_or_penalty(
+                self.connections, tile.connections_remaining
+            )
+        ) / 3
+        memory = _fraction_or_penalty(self.memory, tile.memory_remaining)
+        return TileLoad(processing, memory, communication)
+
+
+def tile_usage(
     application: ApplicationGraph,
+    architecture: ArchitectureGraph,
     binding: Binding,
-    tile: Tile,
-) -> int:
-    """Bits of memory the binding claims on ``tile`` (§7 constraint 2)."""
-    sets = channel_sets(application, binding, tile.name)
-    total = 0
-    for actor in binding.actors_on(tile.name):
-        total += application.requirements(actor).memory(tile.processor_type)
-    for channel in sets.tile:
-        requirements = application.channel(channel.name)
-        total += requirements.buffer_tile * requirements.token_size
-    for channel in sets.src:
-        requirements = application.channel(channel.name)
-        total += requirements.buffer_src * requirements.token_size
-    for channel in sets.dst:
-        requirements = application.channel(channel.name)
-        total += requirements.buffer_dst * requirements.token_size
-    return total
+) -> Dict[str, TileUsage]:
+    """The :class:`TileUsage` of every used tile, in first-use order.
+
+    One pass over the bound actors and one over the channels.  Only
+    channels with both endpoints bound are classified.
+    """
+    assignment = binding.assignment
+    gamma = application.gamma
+    usage: Dict[str, TileUsage] = {}
+    for actor, tile_name in assignment.items():
+        record = usage.get(tile_name)
+        if record is None:
+            record = usage[tile_name] = TileUsage()
+        processor_type = architecture.tile(tile_name).processor_type
+        requirements = application.requirements(actor)
+        record.work += gamma[actor] * requirements.execution_time(
+            processor_type
+        )
+        record.memory += requirements.memory(processor_type)
+    for channel in application.graph.channels:
+        src_tile = assignment.get(channel.src)
+        dst_tile = assignment.get(channel.dst)
+        if src_tile is None or dst_tile is None:
+            continue
+        theta = application.channel(channel.name)
+        if src_tile == dst_tile:
+            usage[src_tile].memory += theta.buffer_tile * theta.token_size
+            continue
+        source = usage[src_tile]
+        source.memory += theta.buffer_src * theta.token_size
+        source.bandwidth_out += theta.bandwidth
+        source.connections += 1
+        source.outgoing.append(channel)
+        destination = usage[dst_tile]
+        destination.memory += theta.buffer_dst * theta.token_size
+        destination.bandwidth_in += theta.bandwidth
+        destination.connections += 1
+    return usage
 
 
 def tile_loads(
@@ -136,46 +182,11 @@ def tile_loads(
     binding: Binding,
     tile_name: str,
 ) -> TileLoad:
-    """The ``(l_p, l_m, l_c)`` of ``tile_name`` under ``binding``.
-
-    Denominators use the tile's *remaining* capacities, so the cost
-    naturally steers later applications away from occupied tiles (the
-    paper assumes unavailable resources are simply not specified).
-    """
-    tile = architecture.tile(tile_name)
-    sets = channel_sets(application, binding, tile_name)
-
-    work_on_tile = sum(
-        application.gamma[a]
-        * application.requirements(a).execution_time(tile.processor_type)
-        for a in binding.actors_on(tile_name)
+    """The ``(l_p, l_m, l_c)`` of ``tile_name`` under ``binding``."""
+    usage = tile_usage(application, architecture, binding).get(tile_name)
+    return (usage or TileUsage()).load(
+        architecture.tile(tile_name), application.total_worst_case_work()
     )
-    total_work = application.total_worst_case_work()
-    processing = Fraction(work_on_tile, total_work) if total_work else Fraction(0)
-
-    memory_available = tile.memory_remaining
-    demand = memory_demand(application, binding, tile)
-    memory = (
-        Fraction(demand, memory_available)
-        if memory_available > 0
-        else (Fraction(0) if demand == 0 else Fraction(10**9))
-    )
-
-    outgoing = sum(application.channel(c.name).bandwidth for c in sets.src)
-    incoming = sum(application.channel(c.name).bandwidth for c in sets.dst)
-    connection_count = len(sets.src) + len(sets.dst)
-
-    def fraction_or_penalty(amount: int, available: int) -> Fraction:
-        if available > 0:
-            return Fraction(amount, available)
-        return Fraction(0) if amount == 0 else Fraction(10**9)
-
-    communication = (
-        fraction_or_penalty(outgoing, tile.bandwidth_out_remaining)
-        + fraction_or_penalty(incoming, tile.bandwidth_in_remaining)
-        + fraction_or_penalty(connection_count, tile.connections_remaining)
-    ) / 3
-    return TileLoad(processing, memory, communication)
 
 
 def tile_cost(

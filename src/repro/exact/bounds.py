@@ -32,6 +32,7 @@ from repro.analysis.bounds import minimal_execution_times
 from repro.appmodel.application import ApplicationGraph
 from repro.appmodel.binding import Binding
 from repro.arch.architecture import ArchitectureGraph
+from repro.core.tile_cost import tile_usage
 
 
 def partial_throughput_bound(
@@ -84,17 +85,12 @@ def partial_throughput_bound(
         tighten(Fraction(gamma_out) * capacity / work)
 
     # -- per-tile utilisation: co-located actors share one wheel -------
-    for tile_name in binding.used_tiles():
-        tile = architecture.tile(tile_name)
-        tile_work = sum(
-            gamma[actor]
-            * application.requirements(actor).execution_time(
-                tile.processor_type
-            )
-            for actor in binding.actors_on(tile_name)
-        )
-        if tile_work > 0:
+    for tile_name, usage in tile_usage(
+        application, architecture, binding
+    ).items():
+        if usage.work > 0:
+            tile = architecture.tile(tile_name)
             share = Fraction(max(0, tile.wheel_remaining), tile.wheel)
-            tighten(Fraction(gamma_out) * share / tile_work)
+            tighten(Fraction(gamma_out) * share / usage.work)
 
     return bound

@@ -34,7 +34,7 @@ from typing import Dict, Tuple
 from repro.appmodel.application import ApplicationGraph
 from repro.appmodel.binding import Binding
 from repro.arch.architecture import ArchitectureGraph
-from repro.core.tile_cost import CostWeights, tile_loads
+from repro.core.tile_cost import CostWeights, tile_usage
 
 
 def weight_fractions(
@@ -61,9 +61,12 @@ def binding_load_cost(
 ) -> Fraction:
     """Eqn. 2 summed over the used tiles of a (possibly partial) binding."""
     c1, c2, c3 = weight_fractions(weights)
+    total_work = application.total_worst_case_work()
     total = Fraction(0)
-    for tile_name in binding.used_tiles():
-        load = tile_loads(application, architecture, binding, tile_name)
+    for tile_name, usage in tile_usage(
+        application, architecture, binding
+    ).items():
+        load = usage.load(architecture.tile(tile_name), total_work)
         total += c1 * load.processing + c2 * load.memory + c3 * load.communication
     return total
 

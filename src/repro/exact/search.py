@@ -12,8 +12,9 @@ Shape of the search:
 
 1. **Binding nodes.**  Actors are branched in decreasing criticality
    order (:func:`repro.core.criticality.binding_order`), candidate
-   tiles sorted greedy-style by provisional Eqn. 2 cost so good
-   incumbents appear early.  A node is discarded when
+   tiles in the greedy binder's order
+   (:func:`repro.core.binding.ranked_tiles`) so good incumbents appear
+   early.  A node is discarded when
    (a) the Section 7 resource constraints are already violated — all
    demands only grow as the binding is extended, so no completion can
    recover; (b) the refined static throughput bound
@@ -56,10 +57,11 @@ from repro.appmodel.binding_aware import (
     build_binding_aware_graph,
 )
 from repro.arch.architecture import ArchitectureGraph
+from repro.core.binding import ranked_tiles
 from repro.core.constraints import check_binding_constraints, reservation_for
 from repro.core.criticality import binding_order
 from repro.core.scheduling import SchedulingError, build_static_order_schedules
-from repro.core.tile_cost import CostWeights, tile_cost
+from repro.core.tile_cost import CostWeights
 from repro.exact.bounds import partial_throughput_bound
 from repro.exact.cost import binding_load_cost
 from repro.obs import get_metrics
@@ -295,9 +297,10 @@ def exact_search(
     ``weights`` defaults to :meth:`CostWeights.default` and must be
     non-negative (the admissible cost bound relies on monotone loads).
     A pre-computed (possibly partial) ``binding`` fixes those actors
-    and branches only over the rest.  ``slice_step`` coarsens the slice
-    grid; with the default of 1 the grid dominates everything the
-    greedy search can return.  ``prune=False`` disables the relaxation
+    and branches only over the rest; one that already violates a
+    Section 7 constraint is proved infeasible.  ``slice_step`` coarsens
+    the slice grid; with the default of 1 the grid dominates everything
+    the greedy search can return.  ``prune=False`` disables the relaxation
     prunes (exhaustive enumeration — the property-test oracle).
 
     The search is deterministic: identical inputs yield the identical
@@ -332,9 +335,6 @@ def exact_search(
         for actor in binding_order(application, cycle_limit=cycle_limit)
         if not partial.is_bound(actor)
     ]
-    tile_rank = {
-        name: rank for rank, name in enumerate(architecture.tile_names)
-    }
 
     def finish(span: Any) -> ExactSearchResult:
         allocation: Optional[Allocation] = None
@@ -398,6 +398,11 @@ def exact_search(
         if gate is not None and gate < constraint:
             if obs.enabled:
                 obs.counter("exact.static_rejections")
+            return finish(span)
+        # the fixed actors are the root node: all demands only grow as
+        # the binding is extended, so a violated root has no feasible leaf
+        if not check_binding_constraints(application, architecture, partial):
+            stats.rejected += 1
             return finish(span)
 
         def admissible(current: Binding) -> bool:
@@ -482,24 +487,9 @@ def exact_search(
                 evaluate_leaf(partial)
                 return
             actor = order[index]
-            requirements = application.requirements(actor)
-            candidates = [
-                tile.name
-                for tile in architecture.tiles
-                if requirements.supports(tile.processor_type)
-            ]
-
-            def provisional(tile_name: str) -> float:
-                partial.bind(actor, tile_name)
-                try:
-                    return tile_cost(
-                        application, architecture, partial, tile_name, weights
-                    )
-                finally:
-                    partial.unbind(actor)
-
-            candidates.sort(key=lambda t: (provisional(t), tile_rank[t]))
-            for tile_name in candidates:
+            for tile_name in ranked_tiles(
+                application, architecture, partial, actor, weights
+            ):
                 partial.bind(actor, tile_name)
                 stats.nodes += 1
                 if not check_binding_constraints(

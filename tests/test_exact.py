@@ -17,6 +17,7 @@ from repro.appmodel.example import (
     paper_example,
     paper_example_binding,
 )
+from repro.appmodel.binding import Binding
 from repro.appmodel.serialization import bundle_to_dict
 from repro.core.flow import allocate_until_failure
 from repro.core.strategy import AllocationError, ResourceAllocator
@@ -125,6 +126,21 @@ def test_exact_backend_with_precomputed_binding():
     # the fixed binding is honoured; only slices were optimised
     assert allocation.binding.assignment == binding.assignment
     assert allocation.satisfied
+
+
+def test_prebinding_violating_section7_is_proven_infeasible():
+    # t1 keeps 10 bits: the full binding onto t1 overflows its memory,
+    # and so does the partial one, before any actor is branched on
+    for actors in (("a1", "a2", "a3"), ("a1", "a2")):
+        application, architecture, _ = paper_example()
+        t1 = architecture.tile("t1")
+        t1.memory_occupied = t1.memory - 10
+        binding = Binding({actor: "t1" for actor in actors})
+        result = exact_search(
+            application, architecture, weights=WEIGHTS, binding=binding
+        )
+        assert not result.feasible, actors
+        assert result.leaves_evaluated == 0
 
 
 def test_exact_backend_in_flow():

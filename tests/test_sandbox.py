@@ -244,26 +244,55 @@ def test_sandboxed_attempt_completes_with_verdict(tmp_path):
         service.drain(cancel_running=True)
 
 
+def _generated_requests(seeds):
+    """Seeded applications of the greedy-vs-exact harness on its 1x2
+    and 1x3 meshes, as request dicts."""
+    from random import Random
+
+    from repro.appmodel.serialization import application_to_dict
+    from repro.arch.serialization import architecture_to_dict
+    from repro.generate.benchmark import generate_application
+    from tests.test_differential_allocation import (
+        SMALL_PROFILE,
+        TYPES,
+        _architecture,
+    )
+
+    return [
+        (
+            application_to_dict(
+                generate_application(
+                    SMALL_PROFILE, TYPES, Random(seed), name=f"gen-{seed}"
+                )
+            ),
+            architecture_to_dict(_architecture(seed)),
+        )
+        for seed in seeds
+    ]
+
+
 @pytest.mark.parametrize("backend", ["greedy", "exact"])
 def test_thread_and_process_isolation_agree(tmp_path, backend):
-    """Both isolation modes run one pipeline, so they give one answer."""
-    application, architecture = fast_request()
+    """Both isolation modes run one pipeline, so they give one answer:
+    on fig. 5 and on three generated applications."""
+    requests = [fast_request(), *_generated_requests([0, 1, 2])]
     records = {}
     for isolation in ("thread", "process"):
         service = _service(
             tmp_path / isolation, isolation=isolation, backend=backend
         )
         try:
-            records[isolation] = service.wait(
-                service.submit(application, architecture), timeout=120
-            )
+            jobs = [service.submit(*request) for request in requests]
+            records[isolation] = [
+                service.wait(job, timeout=120) for job in jobs
+            ]
         finally:
             service.drain(cancel_running=True)
-    thread, process = records["thread"], records["process"]
-    for key in ("result", "rung", "verdict"):
-        assert thread[key] == process[key], key
-    assert thread["source"] == process["source"] == "computed"
-    assert process["sandbox_verdict"]["kind"] == "completed"
+    for thread, process in zip(records["thread"], records["process"]):
+        for key in ("result", "rung", "verdict"):
+            assert thread[key] == process[key], key
+        assert thread["source"] == process["source"] == "computed"
+        assert process["sandbox_verdict"]["kind"] == "completed"
 
 
 def test_unknown_backend_is_rejected(tmp_path):

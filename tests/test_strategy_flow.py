@@ -55,6 +55,24 @@ class TestResourceAllocator:
         allocation = ResourceAllocator().allocate(app, arch, binding=binding)
         assert allocation.binding.assignment == binding.assignment
 
+    @pytest.mark.parametrize("backend", ["greedy", "exact"])
+    def test_precomputed_binding_violating_section7_is_refused(self, backend):
+        from repro.appmodel.binding import Binding
+        from repro.core.binding import BindingError
+
+        app = paper_example_application()
+        arch = paper_example_architecture()
+        t1 = arch.tile("t1")
+        t1.memory_occupied = t1.memory - 10
+        binding = Binding({"a1": "t1", "a2": "t1", "a3": "t1"})
+        with pytest.raises(AllocationError) as excinfo:
+            ResourceAllocator(backend=backend).allocate(
+                app, arch, binding=binding
+            )
+        if backend == "greedy":
+            assert isinstance(excinfo.value.__cause__, BindingError)
+            assert "tile 't1': memory needs" in str(excinfo.value)
+
     def test_weights_influence_binding(self):
         app = paper_example_application()
         arch = paper_example_architecture()
