@@ -67,6 +67,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.diagnostics import AnalysisReport, Diagnostic, Location
 from repro.analysis.rules import RULES
+from repro.sdf.analysis import strongly_connected_components
 
 __all__ = [
     "CON_RULES",
@@ -806,65 +807,25 @@ class _MethodWalker:
 # Cycle detection
 
 
+class _LockGraph:
+    """The lock graph as :func:`strongly_connected_components` reads
+    it, nodes and successors sorted."""
+
+    def __init__(self, edges: Dict[str, Set[str]]) -> None:
+        self.edges = edges
+        self.actor_names = sorted(set(edges).union(*edges.values()))
+
+    def successors(self, node: str) -> List[str]:
+        return sorted(self.edges.get(node, ()))
+
+
 def _cycles(edges: Dict[str, Set[str]]) -> List[List[str]]:
     """Strongly-connected components with >1 node, plus self-loops."""
-    index: Dict[str, int] = {}
-    low: Dict[str, int] = {}
-    on_stack: Set[str] = set()
-    stack: List[str] = []
-    counter = [0]
-    result: List[List[str]] = []
-
-    nodes = sorted(set(edges) | {t for ts in edges.values() for t in ts})
-
-    def strongconnect(root: str) -> None:
-        # iterative Tarjan: (node, iterator state) frames
-        work: List[Tuple[str, List[str], int]] = [
-            (root, sorted(edges.get(root, ())), 0)
-        ]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, successors, position = work.pop()
-            advanced = False
-            while position < len(successors):
-                successor = successors[position]
-                position += 1
-                if successor not in index:
-                    work.append((node, successors, position))
-                    index[successor] = low[successor] = counter[0]
-                    counter[0] += 1
-                    stack.append(successor)
-                    on_stack.add(successor)
-                    work.append(
-                        (successor, sorted(edges.get(successor, ())), 0)
-                    )
-                    advanced = True
-                    break
-                if successor in on_stack:
-                    low[node] = min(low[node], index[successor])
-            if advanced:
-                continue
-            if low[node] == index[node]:
-                component: List[str] = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.append(member)
-                    if member == node:
-                        break
-                if len(component) > 1 or node in edges.get(node, ()):
-                    result.append(sorted(component))
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-
-    for node in nodes:
-        if node not in index:
-            strongconnect(node)
-    return sorted(result)
+    return sorted(
+        sorted(component)
+        for component in strongly_connected_components(_LockGraph(edges))
+        if len(component) > 1 or component[0] in edges.get(component[0], ())
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -433,7 +433,7 @@ def _lint_document(
         application_from_dict,
         bundle_from_dict,
     )
-    from repro.csdf.serialization import csdf_from_dict
+    from repro.csdf.serialization import csdf_from_dict, is_csdf_document
     from repro.sdf.serialization import SerializationError, graph_from_dict
 
     try:
@@ -476,19 +476,8 @@ def _lint_document(
             return analyse_architecture(
                 architecture_from_dict(document, source=path)
             )
-        entries = document.get("channels", []) or document.get("actors", [])
-        is_csdf = any(
-            isinstance(entry, dict)
-            and ("productions" in entry or "execution_times" in entry)
-            for entry in entries
-        )
-        if is_csdf:
-            try:
-                return analyse_csdf(csdf_from_dict(document, source=path))
-            except (KeyError, TypeError, ValueError) as error:
-                raise SerializationError(
-                    f"bad CSDF document: {error}", source=path
-                ) from error
+        if is_csdf_document(document):
+            return analyse_csdf(csdf_from_dict(document, source=path))
         return analyse_graph(graph_from_dict(document, source=path))
 
     return lint_one(data)

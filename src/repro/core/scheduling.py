@@ -79,7 +79,7 @@ def build_static_order_schedules(
         slices = dict(bag.slices)
     bag.update_slices(slices)
     tile_names = bag.binding.used_tiles()
-    kernel = Kernel.from_sdf(
+    kernel = Kernel.compile(
         bag.graph,
         tiles=[
             Tile(bag.architecture.tile(t).wheel, slices[t], name=t) for t in tile_names

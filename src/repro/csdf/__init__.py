@@ -13,8 +13,11 @@ Provided here:
 * phase-aware repetition vectors and liveness
   (:mod:`repro.csdf.analysis`), which are the SDF solver and abstract
   iteration of :mod:`repro.sdf` reading a CSDF graph directly,
-* exact self-timed state-space throughput with per-firing phases
-  (:mod:`repro.csdf.throughput`),
+* exact self-timed state-space throughput with per-firing phases:
+  ``csdf_throughput`` is one call to the one front end,
+  :func:`repro.throughput.state_space.throughput`, so CSDF runs take
+  budgets, checkpoint and resume, and emit metrics, traces and
+  certificates that :mod:`repro.verify` replays,
 * lossless conversions between single-phase CSDF and SDF
   (:mod:`repro.csdf.convert`).
 """

@@ -3,8 +3,8 @@
 SDF is the one-phase special case of CSDF, so lifting is lossless in
 both directions when every actor has a single phase.  (General
 multi-phase CSDF cannot be expressed as an SDF graph of the same
-actors; analyses work on the CSDF directly via
-:mod:`repro.csdf.throughput`.)
+actors; analyses work on the CSDF directly, e.g.
+:func:`repro.throughput.state_space.throughput`.)
 """
 
 from __future__ import annotations
@@ -14,19 +14,12 @@ from repro.sdf.graph import SDFGraph
 
 
 def sdf_to_csdf(graph: SDFGraph) -> CSDFGraph:
-    """Lift an SDF graph to a single-phase CSDF graph (lossless)."""
+    """Lift an SDF graph, read as one-phase CSDF, to a CSDF graph (lossless)."""
     csdf = CSDFGraph(graph.name)
     for actor in graph.actors:
-        csdf.add_actor(actor.name, [actor.execution_time])
-    for channel in graph.channels:
-        csdf.add_channel(
-            channel.name,
-            channel.src,
-            channel.dst,
-            [channel.production],
-            [channel.consumption],
-            channel.tokens,
-        )
+        csdf.add_actor(actor.name, actor.execution_times)
+    for c in graph.channels:
+        csdf.add_channel(c.name, c.src, c.dst, c.productions, c.consumptions, c.tokens)
     return csdf
 
 
@@ -45,20 +38,16 @@ def aggregate_csdf_to_sdf(graph: CSDFGraph) -> SDFGraph:
     sdf = SDFGraph(f"{graph.name}-aggregated")
     for actor in graph.actors:
         sdf.add_actor(actor.name, sum(actor.execution_times))
-    for channel in graph.channels:
+    for c in graph.channels:
         sdf.add_channel(
-            channel.name,
-            channel.src,
-            channel.dst,
-            channel.total_production,
-            channel.total_consumption,
-            channel.tokens,
+            c.name, c.src, c.dst, c.total_production, c.total_consumption, c.tokens
         )
     return sdf
 
 
 def csdf_to_sdf(graph: CSDFGraph) -> SDFGraph:
-    """Lower a single-phase CSDF graph back to SDF.
+    """Lower a single-phase CSDF graph back to SDF: with one phase per
+    actor, :func:`aggregate_csdf_to_sdf` is exact.
 
     Raises ``ValueError`` when any actor has more than one phase: the
     phase structure cannot be represented in SDF.
@@ -68,18 +57,8 @@ def csdf_to_sdf(graph: CSDFGraph) -> SDFGraph:
             raise ValueError(
                 f"actor {actor.name!r} has {actor.phase_count} phases; "
                 "multi-phase CSDF has no SDF equivalent — analyse it "
-                "directly with repro.csdf.throughput"
+                "directly with repro.throughput.state_space.throughput"
             )
-    sdf = SDFGraph(graph.name)
-    for actor in graph.actors:
-        sdf.add_actor(actor.name, actor.execution_times[0])
-    for channel in graph.channels:
-        sdf.add_channel(
-            channel.name,
-            channel.src,
-            channel.dst,
-            channel.productions[0],
-            channel.consumptions[0],
-            channel.tokens,
-        )
+    sdf = aggregate_csdf_to_sdf(graph)
+    sdf.name = graph.name
     return sdf

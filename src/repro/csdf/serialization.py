@@ -10,10 +10,22 @@ import json
 from typing import Any, Dict, Optional
 
 from repro.csdf.graph import CSDFGraph
+from repro.sdf.repetition import Executable
+from repro.sdf.serialization import SerializationError
 
 
-def csdf_to_dict(graph: CSDFGraph) -> Dict[str, Any]:
-    """A JSON-serialisable dictionary capturing the full CSDF graph."""
+def is_csdf_document(document: Dict[str, Any]) -> bool:
+    """True when a graph document's channels (else its actors) are CSDF."""
+    entries = document.get("channels", []) or document.get("actors", [])
+    return any(
+        isinstance(entry, dict)
+        and ("productions" in entry or "execution_times" in entry)
+        for entry in entries
+    )
+
+
+def csdf_to_dict(graph: Executable) -> Dict[str, Any]:
+    """A JSON-serialisable dictionary of a CSDF (or one-phase SDF) graph."""
     return {
         "name": graph.name,
         "actors": [
@@ -41,25 +53,31 @@ def csdf_from_dict(
 
     ``source`` (the file being parsed, when known) is stamped onto the
     graph together with per-element field provenance so lint findings
-    can point back into the document.
+    can point back into the document.  A malformed document raises
+    :class:`SerializationError`.
     """
     graph = CSDFGraph(data.get("name", "csdf"))
     graph.source = source
-    for index, actor in enumerate(data.get("actors", [])):
-        graph.add_actor(
-            actor["name"], [int(t) for t in actor["execution_times"]]
-        )
-        graph.provenance[("actor", actor["name"])] = f"actors[{index}]"
-    for index, channel in enumerate(data.get("channels", [])):
-        graph.add_channel(
-            channel["name"],
-            channel["src"],
-            channel["dst"],
-            [int(r) for r in channel["productions"]],
-            [int(r) for r in channel["consumptions"]],
-            int(channel.get("tokens", 0)),
-        )
-        graph.provenance[("channel", channel["name"])] = f"channels[{index}]"
+    try:
+        for index, actor in enumerate(data.get("actors", [])):
+            graph.add_actor(
+                actor["name"], [int(t) for t in actor["execution_times"]]
+            )
+            graph.provenance[("actor", actor["name"])] = f"actors[{index}]"
+        for index, channel in enumerate(data.get("channels", [])):
+            graph.add_channel(
+                channel["name"],
+                channel["src"],
+                channel["dst"],
+                [int(r) for r in channel["productions"]],
+                [int(r) for r in channel["consumptions"]],
+                int(channel.get("tokens", 0)),
+            )
+            graph.provenance[("channel", channel["name"])] = f"channels[{index}]"
+    except (KeyError, TypeError, ValueError) as error:
+        raise SerializationError(
+            f"bad CSDF document: {error}", source=source
+        ) from error
     return graph
 
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict, Optional, Sequence, Union
 
 from repro.obs import get_metrics
 from repro.obs.trace import get_trace
@@ -124,6 +124,21 @@ def read_checkpoint(path: str) -> Dict[str, Any]:
     return data
 
 
+def require_fields(
+    payload: Dict[str, Any], fields: Sequence[str], where: str = ""
+) -> None:
+    """Raise :class:`CheckpointError` naming the first of ``fields``
+    missing from ``payload`` (``where.field`` inside a nested object)."""
+    for key in fields:
+        if key not in payload:
+            name = f"{where}.{key}" if where else key
+            raise CheckpointError(
+                f"checkpoint is missing required field {name!r} "
+                "(truncated or hand-edited?)",
+                field=name,
+            )
+
+
 def resume_from_checkpoint(
     checkpoint: Union[str, Dict[str, Any]],
     budget: Optional[Budget] = None,
@@ -142,7 +157,9 @@ def resume_from_checkpoint(
     for ``"constrained"`` ones.
     """
     # deferred imports: this module is a resilience leaf, the throughput
-    # engines import the budget/fault siblings at module load
+    # engines import it and the budget/fault siblings at module load
+    from repro.csdf.serialization import csdf_from_dict, is_csdf_document
+    from repro.sdf.repetition import DataflowGraph
     from repro.sdf.serialization import graph_from_dict
     from repro.throughput.constrained import (
         StaticOrderSchedule,
@@ -165,33 +182,23 @@ def resume_from_checkpoint(
         raise CheckpointError(
             f"unknown checkpoint kind {kind!r}", field="kind"
         )
-    required = (
+    # a checkpoint that passed the envelope check can still have been
+    # truncated by a partial copy or hand-edited: surface a typed error
+    # with the missing field, not a KeyError (engines check engine_state)
+    require_fields(
+        checkpoint,
         ("graph", "max_states", "tiles")
         if kind == "constrained"
         else ("graph", "max_states", "execution_times", "auto_concurrency")
+        + ("component_index", "scc_rates", "states"),
     )
-    for key in required:
-        # a checkpoint that passed the envelope check can still have
-        # been truncated by a partial copy or hand-edited: surface a
-        # typed error with the missing field, not a KeyError
-        if key not in checkpoint:
-            raise CheckpointError(
-                f"{kind} checkpoint is missing required field {key!r} "
-                "(truncated or hand-edited?)",
-                field=key,
-            )
-    graph = graph_from_dict(checkpoint["graph"])
     cap = max_states if max_states is not None else checkpoint["max_states"]
     get_metrics().counter("checkpoint.resumes")
     if kind == "constrained":
         for index, entry in enumerate(checkpoint["tiles"]):
-            for key in ("name", "wheel", "slice_size", "periodic"):
-                if key not in entry:
-                    raise CheckpointError(
-                        f"constrained checkpoint tile #{index} is missing "
-                        f"required field {key!r}",
-                        field=f"tiles[{index}].{key}",
-                    )
+            require_fields(
+                entry, ["name", "wheel", "slice_size", "periodic"], f"tiles[{index}]"
+            )
         tiles = [
             TileConstraints(
                 name=entry["name"],
@@ -206,12 +213,18 @@ def resume_from_checkpoint(
             for entry in checkpoint["tiles"]
         ]
         return constrained_throughput(
-            graph,
+            graph_from_dict(checkpoint["graph"]),
             tiles,
             max_states=cap,
             budget=budget,
             resume=checkpoint,
         )
+    document = checkpoint["graph"]
+    graph: DataflowGraph = (
+        csdf_from_dict(document)
+        if is_csdf_document(document)
+        else graph_from_dict(document)
+    )
     return throughput(
         graph,
         execution_times=checkpoint["execution_times"],

@@ -14,19 +14,10 @@ criticality estimates.
 
 from __future__ import annotations
 
-from typing import Dict, List, Protocol, Set
+from typing import Dict, List, Set
 
 from repro.sdf.graph import SDFGraph
-from repro.sdf.repetition import DataflowGraph, repetition_vector
-
-
-class Digraph(Protocol):
-    """What Tarjan's algorithm reads: an SDF or a CSDF graph."""
-
-    @property
-    def actor_names(self) -> List[str]: ...
-
-    def successors(self, actor: str) -> List[str]: ...
+from repro.sdf.repetition import DataflowGraph, Digraph, repetition_vector
 
 
 def strongly_connected_components(graph: Digraph) -> List[List[str]]:

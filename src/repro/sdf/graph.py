@@ -49,6 +49,11 @@ class Actor:
         """1: an SDF actor is the one-phase case of a CSDF actor."""
         return 1
 
+    @property
+    def execution_times(self) -> Tuple[int, ...]:
+        """The execution time as a one-phase CSDF actor reads it."""
+        return (self.execution_time,)
+
     def __hash__(self) -> int:
         return hash(self.name)
 

@@ -55,22 +55,42 @@ class RatedChannel(Protocol):
 
 
 class PhasedActor(Protocol):
-    """An actor as the solver and the iteration read it."""
-
-    @property
-    def phase_count(self) -> int: ...
-
-
-class DataflowGraph(Protocol):
-    """An SDF or a CSDF graph, as the solver and the iteration read it."""
+    """An actor as the solver, the iteration and the kernel read it."""
 
     name: str
 
     @property
-    def actor_names(self) -> List[str]: ...
+    def phase_count(self) -> int: ...
+
+    @property
+    def execution_times(self) -> Tuple[int, ...]: ...
+
+
+class Executable(Protocol):
+    """What the execution kernel compiles: a graph, or one strongly
+    connected component of one, as its actors and channels."""
+
+    name: str
+
+    @property
+    def actors(self) -> Sequence[PhasedActor]: ...
 
     @property
     def channels(self) -> Sequence[RatedChannel]: ...
+
+
+class Digraph(Protocol):
+    """What Tarjan's algorithm reads: an SDF or a CSDF graph."""
+
+    @property
+    def actor_names(self) -> List[str]: ...
+
+    def successors(self, actor: str) -> List[str]: ...
+
+
+class DataflowGraph(Executable, Digraph, Protocol):
+    """An SDF or a CSDF graph, as the solver, the iteration and the
+    self-timed front end read it."""
 
     def actor(self, name: str) -> PhasedActor: ...
 

@@ -6,7 +6,7 @@ Its front ends, plus the classical alternative:
 
 * :mod:`repro.throughput.state_space` — self-timed state-space
   exploration directly on the SDFG (the paper's ref [10], Ghamarian et
-  al. ACSD'06), with the SCC driver CSDF shares.  This is the engine
+  al. ACSD'06), for SDF and CSDF graphs alike.  This is the engine
   the resource-allocation strategy builds on.
 * :mod:`repro.throughput.constrained` — the paper's Section 8.2: the
   same exploration, but constrained by per-tile static-order schedules

@@ -33,6 +33,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.obs import get_metrics
 from repro.obs.trace import get_trace
 from repro.resilience.budget import Budget, BudgetExceededError
+from repro.resilience.checkpoint import require_fields
 from repro.resilience.faults import fault_point
 from repro.sdf.graph import SDFGraph
 from repro.sdf.serialization import graph_to_dict
@@ -210,7 +211,7 @@ def constrained_throughput(
                     model_time=next_time,
                 )
 
-    kernel = Kernel.from_sdf(
+    kernel = Kernel.compile(
         graph,
         tiles=[
             Tile(
@@ -231,7 +232,14 @@ def constrained_throughput(
     trace_started = tr.now() if tr.enabled else 0.0
     state = kernel.initial()
     if resume is not None:
+        require_fields(resume, ["engine_state"])
         engine = resume["engine_state"]
+        require_fields(
+            engine,
+            ("time", "tokens", "unscheduled_active", "tile_active")
+            + ("schedule_pos", "completed", "zero_firings", "seen"),
+            "engine_state",
+        )
         state.time = engine["time"]
         state.tokens = list(engine["tokens"])
         state.active = [list(r) for r in engine["unscheduled_active"]]

@@ -52,7 +52,7 @@ from fractions import Fraction
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.resilience.budget import Budget, BudgetExceededError
-from repro.sdf.graph import SDFGraph
+from repro.sdf.repetition import Executable, PhasedActor
 
 #: Default cap on explored states before the engine gives up.
 DEFAULT_MAX_STATES = 2_000_000
@@ -124,6 +124,18 @@ def gated_finish(
     full_rotations = (remaining - 1) // slice_size
     leftover = remaining - full_rotations * slice_size
     return base + full_rotations * wheel + leftover
+
+
+def phase_times(
+    actor: PhasedActor, execution_times: Optional[Mapping[str, int]] = None
+) -> Tuple[int, ...]:
+    """``actor``'s per-phase times; an ``execution_times`` entry replaces
+    a one-phase actor's time (``ValueError`` for a phased actor)."""
+    if not execution_times or actor.name not in execution_times:
+        return actor.execution_times
+    if actor.phase_count > 1:
+        raise ValueError(f"execution_times names {actor.name!r}, a phased actor")
+    return (execution_times[actor.name],)
 
 
 def seen_to_json(seen: Seen) -> List:
@@ -292,19 +304,18 @@ class Kernel:
         self.log: List[List[int]] = [[] for _ in self.tiles]
 
     @classmethod
-    def from_sdf(
+    def compile(
         cls,
-        graph: SDFGraph,
-        execution_times: Optional[Dict[str, int]] = None,
+        graph: Executable,
+        execution_times: Optional[Mapping[str, int]] = None,
         **options: Any,
     ) -> "Kernel":
-        """Compile an SDF graph: every actor has one phase."""
-        times = execution_times or graph.execution_times()
+        """Compile an SDF or CSDF graph or component (:func:`phase_times`)."""
         return cls(
             graph.name,
-            {a: (times[a],) for a in graph.actor_names},
+            {a.name: phase_times(a, execution_times) for a in graph.actors},
             [
-                (c.src, c.dst, (c.production,), (c.consumption,), c.tokens)
+                (c.src, c.dst, c.productions, c.consumptions, c.tokens)
                 for c in graph.channels
             ],
             **options,

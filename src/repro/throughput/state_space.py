@@ -9,6 +9,10 @@ states under self-timed execution, the execution eventually revisits a
 state; the throughput of every actor is its firing count over the
 duration of that periodic phase.
 
+One front end serves SDF and CSDF graphs: a CSDF actor's ``k``-th firing
+runs phase ``k mod n`` with that phase's time and rates, and an SDF actor
+is the one-phase case (:class:`repro.sdf.repetition.DataflowGraph`).
+
 Graphs that are not strongly connected have unbounded channels under
 self-timed execution, so the driver :func:`throughput` decomposes the
 graph into strongly connected components, analyses each in isolation and
@@ -22,15 +26,22 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from time import perf_counter
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.obs import get_metrics
 from repro.obs.trace import get_trace
 from repro.resilience.budget import Budget, BudgetExceededError
+from repro.resilience.checkpoint import CheckpointError, require_fields
 from repro.resilience.faults import fault_point
 from repro.sdf.analysis import strongly_connected_components
 from repro.sdf.graph import SDFGraph
-from repro.sdf.repetition import repetition_vector
+from repro.sdf.repetition import (
+    DataflowGraph,
+    Executable,
+    PhasedActor,
+    RatedChannel,
+    repetition_vector,
+)
 from repro.sdf.serialization import graph_to_dict
 from repro.throughput.kernel import (  # StateSpaceExplosionError: re-exported
     DEFAULT_MAX_STATES,
@@ -39,6 +50,7 @@ from repro.throughput.kernel import (  # StateSpaceExplosionError: re-exported
     Frontier,
     Kernel,
     StateSpaceExplosionError,
+    phase_times,
     seen_from_json,
     seen_to_json,
 )
@@ -95,8 +107,17 @@ class ThroughputResult:
         return self.iteration_rate == 0
 
 
+@dataclass
+class _Component:
+    """A strongly connected component: its actors and inner channels."""
+
+    name: str
+    actors: List[PhasedActor] = field(default_factory=list)
+    channels: List[RatedChannel] = field(default_factory=list)
+
+
 class SelfTimedExecution:
-    """Executable self-timed semantics of one (sub-)graph.
+    """Executable self-timed semantics of one SDF or CSDF (sub-)graph.
 
     The engine assumes the graph's channels stay bounded (callers pass
     strongly connected graphs or graphs with explicit buffer back-edges,
@@ -108,8 +129,8 @@ class SelfTimedExecution:
 
     def __init__(
         self,
-        graph: SDFGraph,
-        execution_times: Optional[Dict[str, int]] = None,
+        graph: Executable,
+        execution_times: Optional[Mapping[str, int]] = None,
         auto_concurrency: bool = True,
         max_states: int = DEFAULT_MAX_STATES,
         budget: Optional[Budget] = None,
@@ -121,7 +142,7 @@ class SelfTimedExecution:
         #: firing starts observed so far (accumulated across runs;
         #: exported when metrics are enabled)
         self.firing_starts = 0
-        self._kernel = Kernel.from_sdf(
+        self._kernel = Kernel.compile(
             graph, execution_times, serial=not auto_concurrency
         )
 
@@ -164,15 +185,22 @@ class SelfTimedExecution:
         fault_point("state_space.execute", graph=self.graph.name)
         started = perf_counter() if obs.enabled else 0.0
         trace_started = tr.now() if tr.enabled else 0.0
-        state = self._kernel.initial()
+        kernel = self._kernel
+        phased = kernel.max_phases > 1
+        state = kernel.initial()
         state.starts = self.firing_starts
         if resume is not None:
+            fields = ("time", "tokens", "active", "completed", "firing_starts", "seen")
+            phase = ("phase",) if phased else ()
+            require_fields(resume, fields + phase, "engine_state")
             state.time = resume["time"]
             state.tokens = list(resume["tokens"])
             state.active = [list(firing) for firing in resume["active"]]
             state.completed = list(resume["completed"])
+            if phased:
+                state.phase = list(resume["phase"])
             state.starts = resume["firing_starts"]
-            state.seen = self._kernel.convert_seen(
+            state.seen = kernel.convert_seen(
                 seen_from_json(resume["seen"]), to_work=False
             )
         try:
@@ -180,33 +208,43 @@ class SelfTimedExecution:
         except BudgetExceededError as error:
             # the frontier, which execute(resume=...) continues
             # bit-identically (same recurrent state, period and count)
-            error.partial["engine_state"] = {
+            error.partial["engine_state"] = frontier = {
                 "time": state.time,
                 "tokens": list(state.tokens),
                 "active": [list(firing) for firing in state.active],
                 "completed": list(state.completed),
                 "firing_starts": state.starts,
-                "seen": seen_to_json(
-                    self._kernel.convert_seen(state.seen, to_work=True)
-                ),
+                "seen": seen_to_json(kernel.convert_seen(state.seen, to_work=True)),
             }
+            if phased:
+                frontier["phase"] = list(state.phase)
             raise
         if not result.deadlocked:
-            result.certificate = {
+            # a firing in flight is remaining work * phases + phase; a
+            # phased certificate lists per-phase times and adds each
+            # actor's next phase and the phase of each firing in flight
+            in_flight = [(sorted(f), n) for f, n in zip(state.active, kernel.phases)]
+            certificate: Dict[str, Any] = {
                 "format": "repro-certificate",
                 "version": 1,
                 "kind": "self-timed",
                 "graph": self.graph.name,
-                "actors": list(self._kernel.actors),
-                "channels": list(self.graph.channel_names),
-                "execution_times": [t for (t,) in self._kernel.times],
+                "actors": list(kernel.actors),
+                "channels": [channel.name for channel in self.graph.channels],
+                "execution_times": [list(t) if phased else t[0] for t in kernel.times],
                 "auto_concurrency": self.auto_concurrency,
                 "window_start": state.time,
                 "period": result.period,
                 "firings": dict(result.period_firings),
                 "tokens": list(state.tokens),
-                "active": [sorted(firing) for firing in state.active],
+                "active": [[e // n for e in firings] for firings, n in in_flight],
             }
+            if phased:
+                certificate["phases"] = list(state.phase)
+                certificate["active_phases"] = [
+                    [e % n for e in firings] for firings, n in in_flight
+                ]
+            result.certificate = certificate
         if obs.enabled:
             obs.counter("state_space.executions")
             obs.counter("state_space.states", result.states_explored)
@@ -236,14 +274,14 @@ class SelfTimedExecution:
 
 
 def throughput(
-    graph: SDFGraph,
-    execution_times: Optional[Dict[str, int]] = None,
+    graph: DataflowGraph,
+    execution_times: Optional[Mapping[str, int]] = None,
     auto_concurrency: bool = True,
     max_states: int = DEFAULT_MAX_STATES,
     budget: Optional[Budget] = None,
     resume: Optional[Dict[str, Any]] = None,
 ) -> ThroughputResult:
-    """Self-timed throughput of ``graph`` via SCC-wise state-space analysis.
+    """Self-timed throughput of an SDF or CSDF graph, SCC by SCC.
 
     Returns a :class:`ThroughputResult`; ``result.of(actor)`` is the
     steady-state firing rate of an actor.  Graphs without any cycle are
@@ -262,133 +300,68 @@ def throughput(
     obs = get_metrics()
     tr = get_trace()
     trace_started = tr.now() if tr.enabled else 0.0
-    times = execution_times or {}
-
-    def execute(
-        component: Sequence[str], engine_state: Optional[Dict[str, Any]]
-    ) -> ExecutionResult:
-        return SelfTimedExecution(
-            graph.subgraph(component),
-            execution_times=(
-                {a: times[a] for a in component} if execution_times else None
-            ),
-            auto_concurrency=auto_concurrency,
-            max_states=max_states,
-            budget=budget,
-        ).execute(resume=engine_state)
-
-    def checkpoint() -> Dict[str, Any]:
-        return {
-            "kind": "state-space",
-            "graph": graph_to_dict(graph),
-            "execution_times": execution_times,
-            "auto_concurrency": auto_concurrency,
-            "max_states": max_states,
-            "budget": budget.usage() if budget is not None else None,
-        }
-
     with obs.span("state_space.throughput", graph=graph.name) as span:
         gamma = repetition_vector(graph)
         components = strongly_connected_components(graph)
-        result = scc_throughput(
-            graph,
-            components,
-            gamma,
-            lambda a: times.get(a, graph.actor(a).execution_time) * gamma[a],
-            execute,
-            auto_concurrency,
-            resume,
-            checkpoint,
-        )
-        if obs.enabled:
-            obs.counter("state_space.throughput_calls")
-            span.set("sccs", len(components))
-            span.set("sccs_explored", len(result.scc_rates))
-            span.set("states", result.states_explored)
-            span.set("iteration_rate", str(result.iteration_rate))
-    if tr.enabled:
-        tr.complete(
-            "engine",
-            "state_space.throughput",
-            trace_started,
-            tr.now(),
-            graph=graph.name,
-            states=result.states_explored,
-            iteration_rate=str(result.iteration_rate),
-        )
-    return result
+        # each component's actors and inner channels, in graph order
+        where = {a: k for k, members in enumerate(components) for a in members}
+        parts = [_Component(f"{graph.name}-sub") for _ in components]
+        for actor in graph.actors:
+            parts[where[actor.name]].actors.append(actor)
+        for channel in graph.channels:
+            if where[channel.src] == where[channel.dst]:
+                parts[where[channel.src]].channels.append(channel)
+        rates: Dict[Tuple[str, ...], Rate] = {}
+        certificates: Dict[Tuple[str, ...], Dict[str, Any]] = {}
+        states = first = 0
+        engine_state = None
+        if resume is not None:
+            first = resume["component_index"]
+            if not 0 <= first < len(components):
+                raise CheckpointError(
+                    "checkpoint does not match the graph: component index "
+                    f"{first} outside [0, {len(components)})",
+                    field="component_index",
+                )
+            states = resume["states"]
+            # the components finished before the checkpoint, in order
+            for done, rate, *certificate in resume["scc_rates"]:
+                rates[tuple(done)] = rate_from_str(rate)
+                if certificate and certificate[0] is not None:
+                    certificates[tuple(done)] = certificate[0]
+            engine_state = resume.get("engine_state")
+            obs.counter("checkpoint.components_skipped", first)
+        for index in range(first, len(components)):
+            members, part = components[index], parts[index]
+            if not part.channels:
+                # an actor on no cycle limits the rate only when it fires
+                # one at a time, like a self-edge with one token: one
+                # iteration runs gamma / phases of its phase cycles
+                if not auto_concurrency:
+                    times = phase_times(part.actors[0], execution_times)
+                    period = sum(times) * gamma[members[0]] // len(times)
+                    if period > 0:
+                        rates[tuple(members)] = Fraction(1, period)
+                continue
+            try:
+                result = SelfTimedExecution(
+                    part, execution_times, auto_concurrency, max_states, budget
+                ).execute(resume=engine_state if index == first else None)
+            except BudgetExceededError as error:
+                # deferred: repro.csdf imports this module
+                from repro.csdf.serialization import csdf_to_dict
 
-
-def scc_throughput(
-    graph: Any,
-    components: List[List[str]],
-    gamma: Dict[str, int],
-    serial_period: Callable[[str], int],
-    execute: Callable[[Sequence[str], Optional[Dict[str, Any]]], ExecutionResult],
-    auto_concurrency: bool,
-    resume: Optional[Dict[str, Any]] = None,
-    checkpoint: Optional[Callable[[], Dict[str, Any]]] = None,
-) -> ThroughputResult:
-    """The SCC-wise driver of SDF and CSDF throughput.
-
-    ``execute(component, engine_state)`` explores one component with a
-    cycle in isolation; the graph's iteration rate is the minimum of
-    the component rates.  An actor on no cycle limits the rate only
-    without auto-concurrency, to one iteration per
-    ``serial_period(actor)``.  On a budget breach ``checkpoint()``
-    supplies the fields that identify the analysis in the checkpoint.
-    """
-    rates: Dict[Tuple[str, ...], Rate] = {}
-    certificates: Dict[Tuple[str, ...], Dict[str, Any]] = {}
-    states = 0
-    overall: Rate = float("inf")
-    resume_index = -1
-    engine_resume = None
-    if resume is not None:
-        resume_index = resume["component_index"]
-        if not 0 <= resume_index < len(components):
-            raise ValueError(
-                "checkpoint does not match the graph: component index "
-                f"{resume_index} outside [0, {len(components)})"
-            )
-        states = resume["states"]
-        # the components finished before the checkpoint, in order
-        for entry in resume["scc_rates"]:
-            key = tuple(entry[0])
-            rates[key] = rate_from_str(entry[1])
-            if len(entry) > 2 and entry[2] is not None:
-                certificates[key] = entry[2]
-            if rates[key] < overall:
-                overall = rates[key]
-        engine_resume = resume.get("engine_state")
-        get_metrics().counter("checkpoint.components_skipped", resume_index)
-    for index, component in enumerate(components):
-        key = tuple(component)
-        if index < resume_index:
-            continue
-        if len(component) == 1 and not any(
-            c.is_self_loop for c in graph.out_channels(component[0])
-        ):
-            if not auto_concurrency:
-                # One firing at a time acts like a self-edge with one
-                # token: the actor alone limits the rate.
-                period = serial_period(component[0])
-                if period > 0:
-                    rate = Fraction(1, period)
-                    rates[key] = rate
-                    if rate < overall:
-                        overall = rate
-            continue
-        try:
-            result = execute(
-                component, engine_resume if index == resume_index else None
-            )
-        except BudgetExceededError as error:
-            if checkpoint is not None:
                 error.partial["checkpoint"] = {
                     "format": "repro-checkpoint",
                     "version": 1,
-                    **checkpoint(),
+                    "kind": "state-space",
+                    "graph": graph_to_dict(graph)
+                    if isinstance(graph, SDFGraph)
+                    else csdf_to_dict(graph),
+                    "execution_times": execution_times,
+                    "auto_concurrency": auto_concurrency,
+                    "max_states": max_states,
+                    "budget": budget.usage() if budget is not None else None,
                     "component_index": index,
                     "scc_rates": [
                         [list(done), rate_to_str(rate), certificates.get(done)]
@@ -397,19 +370,33 @@ def scc_throughput(
                     "states": states,
                     "engine_state": error.partial.get("engine_state"),
                 }
-            raise
-        states += result.states_explored
-        representative = component[0]
-        rate = result.actor_throughput(representative) / gamma[representative]
-        rates[key] = rate
-        if result.certificate is not None:
-            certificates[key] = result.certificate
-        if rate < overall:
-            overall = rate
-    return ThroughputResult(
-        iteration_rate=overall,
-        gamma=gamma,
-        scc_rates=rates,
-        states_explored=states,
-        certificates=certificates,
-    )
+                raise
+            states += result.states_explored
+            rate = result.actor_throughput(members[0]) / gamma[members[0]]
+            rates[tuple(members)] = rate
+            if result.certificate is not None:
+                certificates[tuple(members)] = result.certificate
+        outcome = ThroughputResult(
+            iteration_rate=min(rates.values(), default=float("inf")),
+            gamma=gamma,
+            scc_rates=rates,
+            states_explored=states,
+            certificates=certificates,
+        )
+        if obs.enabled:
+            obs.counter("state_space.throughput_calls")
+            span.set("sccs", len(components))
+            span.set("sccs_explored", len(rates))
+            span.set("states", states)
+            span.set("iteration_rate", str(outcome.iteration_rate))
+    if tr.enabled:
+        tr.complete(
+            "engine",
+            "state_space.throughput",
+            trace_started,
+            tr.now(),
+            graph=graph.name,
+            states=states,
+            iteration_rate=str(outcome.iteration_rate),
+        )
+    return outcome

@@ -11,7 +11,8 @@ Two kinds exist:
 
 * ``"self-timed"`` — emitted by
   :class:`repro.throughput.state_space.SelfTimedExecution` for one
-  strongly connected component;
+  strongly connected component of an SDF or CSDF graph (*phased*, with
+  per-phase times, when an actor of the component has several phases);
 * ``"constrained"`` — emitted by the §8.2 engine
   (:mod:`repro.throughput.constrained`) for a binding-aware graph under
   static-order schedules and TDMA slices.
@@ -79,10 +80,16 @@ def validate_certificate(certificate: Any) -> Dict[str, Any]:
     )
     times = certificate.get("execution_times")
     _require(
-        _int_list(times) and len(times) == len(actors),
-        "execution_times must be one int per actor",
+        isinstance(times, list) and len(times) == len(actors),
+        "execution_times must have one entry per actor",
     )
-    _require(all(tau >= 0 for tau in times), "execution times must be >= 0")
+    # a phased certificate lists each actor's per-phase times
+    phased = "phases" in certificate
+    phase_times = times if phased else [[tau] for tau in times]
+    _require(
+        all(_int_list(entry) and entry and min(entry) >= 0 for entry in phase_times),
+        "execution times must be ints >= 0 (a list per actor if phased)",
+    )
 
     period = certificate.get("period")
     _require(
@@ -124,6 +131,24 @@ def validate_certificate(certificate: Any) -> Dict[str, Any]:
             and all(r > 0 for entry in active for r in entry),
             "active must hold positive remaining times per actor",
         )
+        if phased:
+            counts = [len(entry) for entry in phase_times]
+            phases = certificate["phases"]
+            in_flight = certificate.get("active_phases")
+            _require(
+                _int_list(phases)
+                and isinstance(in_flight, list)
+                and len(phases) == len(in_flight) == len(actors)
+                and all(0 <= p < n for p, n in zip(phases, counts))
+                and all(
+                    _int_list(entry)
+                    and len(entry) == len(firings)
+                    and all(0 <= p < n for p in entry)
+                    for entry, firings, n in zip(in_flight, active, counts)
+                ),
+                "phases and active_phases must give each actor's next phase "
+                "and the phase of each firing in active",
+            )
         return certificate
 
     # -- constrained ----------------------------------------------------

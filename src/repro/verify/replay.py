@@ -26,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from repro.verify.certificate import validate_certificate
+from repro.verify.certificate import CertificateFormatError, validate_certificate
 
 #: cap on zero-duration firings at one time instant during replay
 _ZERO_BURST_GUARD = 1_000_000
@@ -40,20 +40,29 @@ def _refute(message: str) -> None:
     raise RefutationError(message)
 
 
+#: per actor, per phase: [(channel position, tokens), ...]
+Wiring = List[List[List[Tuple[int, int]]]]
+
+
 def _wire(
     certificate: Dict[str, Any], topology: Mapping[str, Mapping[str, Any]]
-) -> Tuple[List[List[Tuple[int, int]]], List[List[Tuple[int, int]]]]:
-    """Per-actor (channel, rate) input/output lists from the topology.
+) -> Tuple[Wiring, Wiring]:
+    """Per-actor, per-phase (channel, rate) input/output lists.
 
     ``topology`` maps each certificate channel name to its endpoints and
-    rates (``src``/``dst``/``production``/``consumption``) — supplied by
-    the caller from the *graph*, never taken from the certificate, so a
-    forged certificate cannot invent a more convenient wiring.
+    rates (``src``/``dst`` and ``production``/``consumption``, or per
+    phase ``productions``/``consumptions``, where a phase may move no
+    token) — supplied by the caller from the *graph*, never taken from
+    the certificate, so a forged certificate cannot invent a more
+    convenient wiring.  An actor has as many phases as it has times.
     """
     actors = certificate["actors"]
     index = {name: i for i, name in enumerate(actors)}
-    inputs: List[List[Tuple[int, int]]] = [[] for _ in actors]
-    outputs: List[List[Tuple[int, int]]] = [[] for _ in actors]
+    phases = [
+        len(t) if isinstance(t, list) else 1 for t in certificate["execution_times"]
+    ]
+    inputs: Wiring = [[[] for _ in range(n)] for n in phases]
+    outputs: Wiring = [[[] for _ in range(n)] for n in phases]
     for position, name in enumerate(certificate["channels"]):
         if name not in topology:
             _refute(f"certificate channel {name!r} is not in the graph")
@@ -63,17 +72,21 @@ def _wire(
             _refute(
                 f"channel {name!r} connects actors outside the certificate"
             )
-        production = channel["production"]
-        consumption = channel["consumption"]
-        if (
-            not isinstance(production, int)
-            or not isinstance(consumption, int)
-            or production < 1
-            or consumption < 1
+        for side, actor, key in (
+            (outputs, index[src], "production"),
+            (inputs, index[dst], "consumption"),
         ):
-            _refute(f"channel {name!r} has non-positive rates")
-        outputs[index[src]].append((position, production))
-        inputs[index[dst]].append((position, consumption))
+            # per-phase rates, or the one-phase rate as a list of one
+            rates = channel.get(key + "s", [channel.get(key)])
+            if not (
+                isinstance(rates, list)
+                and len(rates) == phases[actor]
+                and all(isinstance(r, int) and r >= 0 for r in rates)
+                and sum(rates) > 0
+            ):
+                _refute(f"channel {name!r} has non-positive rates")
+            for phase, rate in enumerate(rates):
+                side[actor][phase].append((position, rate))
     return inputs, outputs
 
 
@@ -82,6 +95,9 @@ def replay_self_timed(
 ) -> Dict[str, Any]:
     """Replay a ``"self-timed"`` certificate; returns ``{period, firings}``.
 
+    A phased certificate (one with ``phases``) lists per-phase times:
+    each actor runs its phases in turn from its entry in ``phases``, and
+    each firing in flight ends in its phase from ``active_phases``.
     Raises :class:`RefutationError` when the claimed window is not a
     legal periodic phase of the self-timed execution.
     """
@@ -90,13 +106,24 @@ def replay_self_timed(
         _refute(f"expected a self-timed certificate, got {cert['kind']!r}")
     actors: List[str] = cert["actors"]
     count = len(actors)
+    if "phases" not in cert:  # one phase: every firing runs phase 0
+        cert = dict(
+            cert,
+            execution_times=[[tau] for tau in cert["execution_times"]],
+            phases=[0] * count,
+            active_phases=[[0] * len(entry) for entry in cert["active"]],
+        )
+    times: List[List[int]] = cert["execution_times"]
     inputs, outputs = _wire(cert, topology)
-    times: List[int] = cert["execution_times"]
     auto: bool = cert["auto_concurrency"]
     period: int = cert["period"]
 
     start_tokens = list(cert["tokens"])
-    start_active = [sorted(entry) for entry in cert["active"]]
+    # each firing in flight as (remaining time, phase)
+    start_active = [
+        sorted(zip(entry, phases))
+        for entry, phases in zip(cert["active"], cert["active_phases"])
+    ]
     if not auto and any(len(entry) > 1 for entry in start_active):
         _refute(
             "certificate claims concurrent firings of one actor although "
@@ -104,6 +131,7 @@ def replay_self_timed(
         )
 
     tokens = list(start_tokens)
+    next_phase = list(cert["phases"])
     active = [list(entry) for entry in start_active]
     fired = [0] * count
     burst = [0]
@@ -111,7 +139,9 @@ def replay_self_timed(
     def startable(actor: int) -> bool:
         if not auto and active[actor]:
             return False
-        return all(tokens[c] >= need for c, need in inputs[actor])
+        return all(
+            tokens[c] >= need for c, need in inputs[actor][next_phase[actor]]
+        )
 
     def start_phase() -> None:
         progress = True
@@ -119,10 +149,12 @@ def replay_self_timed(
             progress = False
             for actor in range(count):
                 while startable(actor):
-                    for channel, need in inputs[actor]:
+                    phase = next_phase[actor]
+                    next_phase[actor] = (phase + 1) % len(times[actor])
+                    for channel, need in inputs[actor][phase]:
                         tokens[channel] -= need
-                    if times[actor] == 0:
-                        for channel, out in outputs[actor]:
+                    if times[actor][phase] == 0:
+                        for channel, out in outputs[actor][phase]:
                             tokens[channel] += out
                         fired[actor] += 1
                         burst[0] += 1
@@ -132,11 +164,11 @@ def replay_self_timed(
                                 "during replay"
                             )
                     else:
-                        active[actor].append(times[actor])
+                        active[actor].append((times[actor][phase], phase))
                     progress = True
             # only zero-duration completions can enable further actors
             # within the same instant
-            if not any(tau == 0 for tau in times):
+            if not any(0 in t for t in times):
                 break
 
     # the engine records states *after* exhausting every enabled firing,
@@ -146,29 +178,28 @@ def replay_self_timed(
 
     elapsed = 0
     while elapsed < period:
-        remaining = [r for entry in active for r in entry]
+        remaining = [r for entry in active for r, _ in entry]
         if not remaining:
             _refute("claimed periodic phase deadlocks")
         step = min(remaining)
         if elapsed + step > period:
             _refute("no completion event lands on the claimed period")
         elapsed += step
-        for actor in range(count):
-            entry = active[actor]
-            if not entry:
-                continue
-            finished = sum(1 for r in entry if r == step)
-            active[actor] = [r - step for r in entry if r > step]
-            if finished:
-                for channel, out in outputs[actor]:
-                    tokens[channel] += out * finished
-                fired[actor] += finished
+        for actor, entry in enumerate(active):
+            active[actor] = [(r - step, ph) for r, ph in entry if r > step]
+            for remaining, phase in entry:
+                if remaining == step:
+                    for channel, out in outputs[actor][phase]:
+                        tokens[channel] += out
+                    fired[actor] += 1
         start_phase()
 
     if tokens != start_tokens:
         _refute("token distribution does not recur after the claimed period")
     if any(sorted(active[a]) != start_active[a] for a in range(count)):
         _refute("active firings do not recur after the claimed period")
+    if next_phase != cert["phases"]:
+        _refute("next phases do not recur after the claimed period")
     observed = {name: fired[i] for i, name in enumerate(actors)}
     if observed != cert["firings"]:
         _refute("firing counts inside the window do not match the claim")
@@ -201,14 +232,18 @@ def check_window_reachable(
     counts on a bounded cycle fails here even though it replays.
 
     ``topology`` entries must carry ``tokens`` (the graph's initial
-    tokens) in addition to the endpoint/rate fields.  Raises
-    :class:`RefutationError` when an invariant is violated.
+    tokens) in addition to the endpoint/rate fields.  The check reads
+    one-phase certificates only: a phased one raises
+    :class:`CertificateFormatError`.  Raises :class:`RefutationError`
+    when an invariant is violated.
     """
     cert = validate_certificate(certificate)
+    if "phases" in cert:
+        raise CertificateFormatError(
+            "the window-reachability check reads one-phase certificates only"
+        )
     actors: List[str] = cert["actors"]
-    index = {name: i for i, name in enumerate(actors)}
     channels: List[str] = cert["channels"]
-    width = len(channels)
 
     if cert["kind"] == "self-timed":
         in_flight = [len(entry) for entry in cert["active"]]
@@ -218,28 +253,20 @@ def check_window_reachable(
             if firing is not None:
                 in_flight[firing[0]] += 1
 
-    effects: List[List[Fraction]] = [
-        [Fraction(0)] * width for _ in actors
-    ]
-    effective: List[Fraction] = []
-    initial: List[int] = []
-    for position, name in enumerate(channels):
-        if name not in topology:
-            _refute(f"certificate channel {name!r} is not in the graph")
-        channel = topology[name]
-        tokens = channel.get("tokens")
+    inputs, outputs = _wire(cert, topology)
+    effects = [[Fraction(0)] * len(channels) for _ in actors]
+    effective = [Fraction(tokens) for tokens in cert["tokens"]]
+    for actor in range(len(actors)):
+        for position, rate in outputs[actor][0]:
+            effects[actor][position] += rate
+        for position, rate in inputs[actor][0]:
+            effects[actor][position] -= rate
+            # roll in-flight firings back to their pre-consumption marking
+            effective[position] += rate * in_flight[actor]
+    initial = [topology[name].get("tokens") for name in channels]
+    for name, tokens in zip(channels, initial):
         if not isinstance(tokens, int) or tokens < 0:
             _refute(f"channel {name!r} has no initial token count")
-        initial.append(tokens)
-        effects[index[channel["src"]]][position] += channel["production"]
-        effects[index[channel["dst"]]][position] -= channel["consumption"]
-        # roll in-flight firings back to their pre-consumption marking
-        effective.append(
-            Fraction(
-                cert["tokens"][position]
-                + channel["consumption"] * in_flight[index[channel["dst"]]]
-            )
-        )
 
     # Gaussian elimination: reduce each firing-effect vector, keep the
     # pivots, then reduce the window delta — a non-zero residue means
@@ -402,14 +429,14 @@ def replay_constrained(
     burst = [0]
 
     def tokens_ready(actor: int) -> bool:
-        return all(tokens[c] >= need for c, need in inputs[actor])
+        return all(tokens[c] >= need for c, need in inputs[actor][0])
 
     def consume(actor: int) -> None:
-        for channel, need in inputs[actor]:
+        for channel, need in inputs[actor][0]:
             tokens[channel] -= need
 
     def produce(actor: int, repeats: int = 1) -> None:
-        for channel, out in outputs[actor]:
+        for channel, out in outputs[actor][0]:
             tokens[channel] += out * repeats
 
     def any_startable() -> bool:

@@ -14,6 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.csdf.random_csdf import random_csdf
+from repro.csdf.serialization import csdf_to_dict
 from repro.generate.random_sdf import random_sdfg
 from repro.resilience.budget import Budget, BudgetExceededError
 from repro.resilience.checkpoint import (
@@ -23,6 +25,7 @@ from repro.resilience.checkpoint import (
     resume_from_checkpoint,
     write_checkpoint,
 )
+from repro.sdf.analysis import strongly_connected_components
 from repro.sdf.graph import SDFGraph
 from repro.sdf.serialization import SerializationError
 from repro.throughput.constrained import (
@@ -69,6 +72,7 @@ def _assert_same_result(resumed, full):
     assert resumed.iteration_rate == full.iteration_rate
     assert resumed.gamma == full.gamma
     assert resumed.scc_rates == full.scc_rates
+    assert resumed.states_explored == full.states_explored
     assert resumed.certificates == full.certificates
     for actor in full.gamma:
         assert resumed.of(actor) == full.of(actor)
@@ -124,7 +128,51 @@ def test_chained_interruptions_resume_bit_identically():
     _assert_same_result(resumed, throughput(graph))
 
 
-def test_constrained_run_resumes_bit_identically():
+def test_csdf_runs_resume_bit_identically():
+    """Seeded multi-phase CSDF graphs, budget-killed and resumed from a
+    JSON round trip of their checkpoint, give the uninterrupted result;
+    some interruptions catch a phased actor with firings in flight."""
+    resumed_count = phased_in_flight = 0
+    for seed in range(20):
+        graph = random_csdf(random.Random(seed), max_phases=3, name=f"c{seed}")
+        full = throughput(graph)
+        for max_states in (2, 5, 20):
+            checkpoint = _interrupt(graph, max_states)
+            if checkpoint is None:
+                continue
+            checkpoint = json.loads(json.dumps(checkpoint))
+            assert checkpoint["graph"] == csdf_to_dict(graph)
+            _assert_same_result(resume_from_checkpoint(checkpoint), full)
+            resumed_count += 1
+            # the interrupted component's actors, in graph order; only a
+            # phased component records each actor's next phase
+            component = strongly_connected_components(graph)[
+                checkpoint["component_index"]
+            ]
+            actors = [a for a in graph.actors if a.name in component]
+            engine = checkpoint["engine_state"]
+            assert ("phase" in engine) == any(a.phase_count > 1 for a in actors)
+            phased_in_flight += any(
+                busy and actor.phase_count > 1
+                for actor, busy in zip(actors, engine["active"])
+            )
+    assert resumed_count >= 20
+    assert phased_in_flight >= 1
+
+
+def test_csdf_budget_is_charged():
+    graph = random_csdf(random.Random(1), max_phases=3)
+    full = throughput(graph)
+    budget = Budget(max_states=10 * full.states_explored)
+    throughput(graph, budget=budget)
+    # one charge per state visited, and one per recurrent state found
+    charged = full.states_explored + len(full.certificates)
+    assert budget.usage()["states_charged"] == charged
+    assert _interrupt(graph, max_states=full.states_explored // 2) is not None
+
+
+def _pipe():
+    """A two-actor graph on one TDMA tile, and its tile."""
     graph = SDFGraph("pipe")
     graph.add_actor("a", 2)
     graph.add_actor("b", 3)
@@ -135,10 +183,19 @@ def test_constrained_run_resumes_bit_identically():
     tiles = [
         TileConstraints("t", 10, 5, StaticOrderSchedule(periodic=("a", "b")))
     ]
-    full = constrained_throughput(graph, tiles)
+    return graph, tiles
+
+
+def _constrained_checkpoint(graph, tiles):
     with pytest.raises(BudgetExceededError) as info:
         constrained_throughput(graph, tiles, budget=Budget(max_states=2))
-    checkpoint = json.loads(json.dumps(info.value.partial["checkpoint"]))
+    return json.loads(json.dumps(info.value.partial["checkpoint"]))
+
+
+def test_constrained_run_resumes_bit_identically():
+    graph, tiles = _pipe()
+    full = constrained_throughput(graph, tiles)
+    checkpoint = _constrained_checkpoint(graph, tiles)
     assert checkpoint["kind"] == "constrained"
     resumed = resume_from_checkpoint(checkpoint)
     assert resumed.period == full.period
@@ -266,18 +323,52 @@ def test_read_binary_corrupted_checkpoint_raises_typed_error(tmp_path):
     assert str(path) in str(excinfo.value)
 
 
+def _drop(payload, field):
+    """Delete ``field`` (dotted for a nested one) from ``payload``."""
+    *path, key = field.split(".")
+    for name in path:
+        payload = payload[name]
+    del payload[key]
+
+
 @pytest.mark.parametrize(
-    "missing", ["graph", "max_states", "execution_times", "auto_concurrency"]
+    "missing",
+    ["graph", "max_states", "execution_times", "auto_concurrency"]
+    + ["component_index", "scc_rates", "states"]
+    + [
+        f"engine_state.{key}"
+        for key in ("time", "tokens", "active", "completed", "firing_starts", "seen")
+    ],
 )
 def test_resume_missing_field_raises_typed_error(tmp_path, missing):
     """A structurally valid checkpoint that lost a required field must
     fail resume with a CheckpointError naming the field, not KeyError."""
     path = _real_checkpoint(tmp_path)
     payload = read_checkpoint(str(path))
-    del payload[missing]
+    _drop(payload, missing)
     with pytest.raises(CheckpointError) as excinfo:
         resume_from_checkpoint(payload)
     assert missing in str(excinfo.value)
+
+
+def test_resume_phased_checkpoint_without_phase_raises_typed_error():
+    for seed in range(50):
+        graph = random_csdf(random.Random(seed), max_phases=3)
+        checkpoint = _interrupt(graph, max_states=2)
+        if checkpoint is not None and "phase" in checkpoint["engine_state"]:
+            break
+    else:
+        raise AssertionError("no interrupted phased component")
+    _drop(checkpoint, "engine_state.phase")
+    with pytest.raises(CheckpointError, match="engine_state.phase"):
+        resume_from_checkpoint(checkpoint)
+
+
+def test_resume_component_index_out_of_range_raises_typed_error(tmp_path):
+    payload = read_checkpoint(str(_real_checkpoint(tmp_path)))
+    payload["component_index"] = 99
+    with pytest.raises(CheckpointError, match="component index 99"):
+        resume_from_checkpoint(payload)
 
 
 def test_resume_constrained_missing_tile_field_raises_typed_error():
@@ -308,3 +399,28 @@ def test_resume_constrained_missing_tile_field_raises_typed_error():
     with pytest.raises(CheckpointError) as excinfo:
         resume_from_checkpoint(checkpoint)
     assert "tiles[0]" in str(excinfo.value)
+
+
+@pytest.mark.parametrize(
+    "missing",
+    ["engine_state"]
+    + [
+        f"engine_state.{key}"
+        for key in (
+            "time",
+            "tokens",
+            "unscheduled_active",
+            "tile_active",
+            "schedule_pos",
+            "completed",
+            "zero_firings",
+            "seen",
+        )
+    ],
+)
+def test_resume_constrained_missing_engine_field_raises_typed_error(missing):
+    checkpoint = _constrained_checkpoint(*_pipe())
+    _drop(checkpoint, missing)
+    with pytest.raises(CheckpointError) as excinfo:
+        resume_from_checkpoint(checkpoint)
+    assert missing in str(excinfo.value)

@@ -1,5 +1,6 @@
 """Unit tests for the CSDF subsystem."""
 
+import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -177,14 +178,30 @@ class TestThroughput:
                 actor.execution_time = rng.randint(1, 7)
             lifted = sdf_to_csdf(sdf)
             for auto_concurrency in (True, False):
+                expected = throughput(sdf, auto_concurrency=auto_concurrency)
                 assert (
                     csdf_throughput(
                         lifted, auto_concurrency=auto_concurrency
                     ).iteration_rate
-                    == throughput(
-                        sdf, auto_concurrency=auto_concurrency
-                    ).iteration_rate
+                    == expected.iteration_rate
                 )
+                # one front end: the lifted graph is explored state for
+                # state and certified byte for byte like the SDF graph
+                result = throughput(lifted, auto_concurrency=auto_concurrency)
+                assert result.states_explored == expected.states_explored
+                assert result.scc_rates == expected.scc_rates
+                assert json.dumps(list(result.certificates.items())) == (
+                    json.dumps(list(expected.certificates.items()))
+                )
+
+    def test_override_of_a_phased_actor_raises(self, two_phase_cycle):
+        with pytest.raises(ValueError, match="phased actor"):
+            throughput(two_phase_cycle, execution_times={"a": 2})
+        # a one-phase actor takes its override, as in SDF
+        slower = throughput(
+            two_phase_cycle, execution_times={"b": 30}, auto_concurrency=False
+        )
+        assert slower.iteration_rate == Fraction(1, 33)
 
     def test_two_phase_cycle_rate(self, two_phase_cycle):
         result = csdf_throughput(two_phase_cycle, auto_concurrency=False)

@@ -8,13 +8,18 @@ schedules, forged certificates.
 """
 
 import copy
+import importlib.util
 import json
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from repro.appmodel.example import paper_example
 from repro.appmodel.serialization import bundle_to_dict, bundle_to_json
+from repro.csdf.graph import CSDFGraph
+from repro.csdf.random_csdf import random_csdf
 from repro.core.strategy import ResourceAllocator
 from repro.resilience.faults import FaultInjector, FaultSpec
 from repro.resilience.policy import (
@@ -26,11 +31,14 @@ from repro.verify import (
     VERDICT_REFUTED,
     VERDICT_SOUND_LOWER_BOUND,
     CertificateFormatError,
+    RefutationError,
     certify_allocation,
     certify_flow,
+    check_window_reachable,
     replay_certificate,
     validate_certificate,
 )
+from repro.throughput.state_space import throughput
 
 
 @pytest.fixture(scope="module")
@@ -281,6 +289,134 @@ def test_replay_self_timed_certificate():
                 Fraction(replayed["firings"][actor], replayed["period"])
                 == result.of(actor)
             )
+
+
+def _stereo_filter():
+    """The phased stereo filter of ``examples/csdf_analysis.py``."""
+    path = Path(__file__).resolve().parents[1] / "examples" / "csdf_analysis.py"
+    spec = importlib.util.spec_from_file_location("csdf_analysis", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.phased_csdf_model()
+
+
+def _phased_topology(graph):
+    """A CSDF graph's channels with their per-phase rates."""
+    return {
+        channel.name: {
+            "src": channel.src,
+            "dst": channel.dst,
+            "productions": list(channel.productions),
+            "consumptions": list(channel.consumptions),
+            "tokens": channel.tokens,
+        }
+        for channel in graph.channels
+    }
+
+
+def _two_phase_ring():
+    """a (phases of 1 and 2) <-> b, whose phases differ in time."""
+    graph = CSDFGraph("ring")
+    graph.add_actor("a", [1, 2])
+    graph.add_actor("b", [3])
+    graph.add_channel("ab", "a", "b", [1, 1], [2])
+    graph.add_channel("ba", "b", "a", [2], [1, 1], tokens=2)
+    return graph
+
+
+def _phased_cases():
+    """(graph, result, component, certificate) per phased certificate of
+    the stereo filter, the ring and seeded random CSDF graphs, both
+    concurrency modes."""
+    graphs = [_stereo_filter(), _two_phase_ring()] + [
+        random_csdf(random.Random(seed), max_phases=3, name=f"r{seed}")
+        for seed in range(12)
+    ]
+    for graph in graphs:
+        for auto_concurrency in (True, False):
+            result = throughput(graph, auto_concurrency=auto_concurrency)
+            for component, certificate in result.certificates.items():
+                if "phases" in certificate:
+                    yield graph, result, component, certificate
+
+
+def test_phased_certificates_replay_to_the_actor_rates():
+    replayed_count = 0
+    for graph, result, component, certificate in _phased_cases():
+        replayed = replay_certificate(
+            json.loads(json.dumps(certificate)), _phased_topology(graph)
+        )
+        bottleneck = result.scc_rates[component] == result.iteration_rate
+        for actor in component:
+            rate = Fraction(replayed["firings"][actor], replayed["period"])
+            assert rate == result.scc_rates[component] * result.gamma[actor]
+            if bottleneck:
+                assert rate == result.of(actor)
+        replayed_count += 1
+    assert replayed_count >= 20
+
+
+PHASED_TAMPERS = [
+    "period",
+    "firing count",
+    "token count",
+    "phase in flight",
+    "next phase",
+]
+
+
+def _tampered(certificate, tamper):
+    """A copy of a phased ``certificate`` with ``tamper`` applied, or
+    None when no firing of a phased actor is in flight."""
+    forged = copy.deepcopy(certificate)
+    counts = [len(times) for times in forged["execution_times"]]
+    if tamper == "period":
+        forged["period"] += 1
+    elif tamper == "firing count":
+        forged["firings"][forged["actors"][0]] += 1
+    elif tamper == "token count":
+        forged["tokens"][0] += 1
+    elif tamper == "phase in flight":
+        busy = [
+            actor
+            for actor, phases in enumerate(forged["active_phases"])
+            if phases and counts[actor] > 1
+        ]
+        if not busy:
+            return None
+        phases = forged["active_phases"][busy[0]]
+        phases[0] = (phases[0] + 1) % counts[busy[0]]
+    else:
+        actor = next(a for a, count in enumerate(counts) if count > 1)
+        forged["phases"][actor] = (forged["phases"][actor] + 1) % counts[actor]
+    return forged
+
+
+@pytest.mark.parametrize("tamper", PHASED_TAMPERS)
+def test_replay_refutes_tampered_phased_certificates(tamper):
+    # the serial two-phase ring: every tamper breaks its window
+    graph = _two_phase_ring()
+    (certificate,) = throughput(graph, auto_concurrency=False).certificates.values()
+    with pytest.raises(RefutationError):
+        replay_certificate(_tampered(certificate, tamper), _phased_topology(graph))
+    if tamper in ("period", "firing count", "phase in flight"):
+        # these break every phased window of the seeded graphs too (a
+        # surplus token or a shifted phase can leave a window periodic)
+        refuted = 0
+        for graph, _, _, certificate in _phased_cases():
+            forged = _tampered(certificate, tamper)
+            if forged is not None:
+                with pytest.raises(RefutationError):
+                    replay_certificate(forged, _phased_topology(graph))
+                refuted += 1
+        assert refuted >= 10
+
+
+def test_reachability_check_rejects_phased_certificates():
+    graph = _two_phase_ring()
+    (certificate,) = throughput(graph).certificates.values()
+    with pytest.raises(CertificateFormatError, match="one-phase"):
+        check_window_reachable(certificate, _phased_topology(graph))
 
 
 # -- observability ----------------------------------------------------------
