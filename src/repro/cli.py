@@ -43,7 +43,7 @@ import argparse
 import json
 import sys
 from contextlib import ExitStack
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, List, Optional, Union
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
     from repro.analysis import AnalysisReport
@@ -53,6 +53,8 @@ from repro.arch.presets import benchmark_architectures
 from repro.core.flow import allocate_until_failure
 from repro.core.strategy import BACKENDS, AllocationError, ResourceAllocator
 from repro.core.tile_cost import CostWeights
+from repro.csdf.graph import CSDFGraph
+from repro.csdf.serialization import csdf_from_dict, is_csdf_document
 from repro.exitcodes import HTTP_EXIT_MAP
 from repro.generate.benchmark import generate_benchmark_set
 from repro.obs import (
@@ -64,16 +66,36 @@ from repro.obs import (
     write_chrome_trace,
 )
 from repro.resilience.budget import Budget, BudgetExceededError
-from repro.sdf.serialization import graph_from_json, graph_to_dict
+from repro.sdf.graph import SDFGraph
+from repro.sdf.serialization import (
+    SerializationError,
+    graph_from_dict,
+    graph_to_dict,
+)
 from repro.throughput.state_space import (
     StateSpaceExplosionError,
     throughput,
 )
 
 
+def _read_graph(path: str) -> Union[SDFGraph, CSDFGraph]:
+    """The SDF or CSDF graph document at ``path``, told apart as
+    ``lint`` does."""
+    with open(path) as handle:
+        text = handle.read()
+    try:
+        document = json.loads(text)
+    except json.JSONDecodeError as error:
+        raise SerializationError(
+            f"invalid JSON: {error}", source=path
+        ) from error
+    if isinstance(document, dict) and is_csdf_document(document):
+        return csdf_from_dict(document, source=path)
+    return graph_from_dict(document, source=path)
+
+
 def _cmd_analyse(args: argparse.Namespace) -> int:
-    with open(args.graph) as handle:
-        graph = graph_from_json(handle.read(), source=args.graph)
+    graph = _read_graph(args.graph)
     if args.resume:
         from repro.resilience.checkpoint import (
             read_checkpoint,
@@ -212,8 +234,12 @@ def _cmd_allocate_file(args: argparse.Namespace) -> int:
 def _cmd_dot(args: argparse.Namespace) -> int:
     from repro.extensions.dot import sdfg_to_dot
 
-    with open(args.graph) as handle:
-        graph = graph_from_json(handle.read())
+    graph = _read_graph(args.graph)
+    if isinstance(graph, CSDFGraph):
+        raise SerializationError(
+            "dot draws SDF graphs only, and this is a CSDF document",
+            source=args.graph,
+        )
     print(sdfg_to_dot(graph))
     return 0
 
@@ -258,8 +284,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     """Run one workload with instrumentation on; emit a JSON report."""
     with collecting() as metrics:
         if args.graph:
-            with open(args.graph) as handle:
-                graph = graph_from_json(handle.read(), source=args.graph)
+            graph = _read_graph(args.graph)
             result = throughput(graph, budget=args.budget)
             summary = {
                 "mode": "analyse",
@@ -433,9 +458,6 @@ def _lint_document(
         application_from_dict,
         bundle_from_dict,
     )
-    from repro.csdf.serialization import csdf_from_dict, is_csdf_document
-    from repro.sdf.serialization import SerializationError, graph_from_dict
-
     try:
         data = json.loads(text)
     except json.JSONDecodeError as error:

@@ -8,15 +8,17 @@ The strategy runs three steps, each exactly once:
    (Eqn. 2, :mod:`repro.core.tile_cost`), subject to the Section 7
    resource constraints (:mod:`repro.core.constraints`); a reverse-order
    rebinding pass then improves the balance.  Both the cost and the
-   constraints read one per-tile account of the binding,
-   :func:`repro.core.tile_cost.tile_usage`.
+   constraints read one per-tile account of the binding, a
+   :class:`repro.core.tile_cost.TileLedger` that every placement
+   updates.
 2. **Static-order scheduling** (:mod:`repro.core.scheduling`): a list
    scheduler executes the binding-aware graph (50% slice assumption)
    and records per-tile firing orders, which are then compacted.
 3. **Time-slice allocation** (:mod:`repro.core.slices`): a binary
    search finds minimal TDMA slices meeting the throughput constraint,
    verified with the constrained state-space analysis of Section 8.2,
-   followed by a per-tile refinement search.
+   followed by a per-tile refinement search; probes below a tile's
+   slice floor fail without an exploration.
 
 :class:`repro.core.strategy.ResourceAllocator` chains the steps;
 :mod:`repro.core.flow` runs the multi-application experiments of

@@ -4,7 +4,9 @@ Actors are processed in decreasing criticality order.  For every actor
 the candidate tiles (those whose processor type supports it) are sorted
 by the Eqn. 2 cost *with the actor provisionally bound there*; the first
 candidate that keeps all Section 7 constraints satisfied wins.  When no
-tile fits, the problem is infeasible.
+tile fits, the problem is infeasible.  Costs and checks read one
+:class:`~repro.core.tile_cost.TileLedger`, through which every
+provisional and final placement is made.
 
 A load-balancing optimisation pass then revisits the actors in reverse
 order: each actor is unbound, the candidate tiles are re-sorted by the
@@ -20,9 +22,9 @@ from typing import List, Optional
 from repro.appmodel.application import ApplicationGraph
 from repro.appmodel.binding import Binding
 from repro.arch.architecture import ArchitectureGraph
-from repro.core.constraints import binding_violations, check_binding_constraints
+from repro.core.constraints import ledger_violations
 from repro.core.criticality import binding_order
-from repro.core.tile_cost import CostWeights, tile_cost
+from repro.core.tile_cost import CostWeights, TileLedger
 from repro.obs import get_metrics
 from repro.resilience.budget import Budget
 
@@ -32,31 +34,23 @@ class BindingError(RuntimeError):
 
 
 def ranked_tiles(
-    application: ApplicationGraph,
-    architecture: ArchitectureGraph,
-    binding: Binding,
-    actor: str,
-    weights: CostWeights,
+    ledger: TileLedger, actor: str, weights: CostWeights
 ) -> List[str]:
-    """The tiles that support ``actor``, cheapest first.
+    """The tiles that support the unbound ``actor``, cheapest first.
 
     Each tile is scored by its Eqn. 2 cost with ``actor`` provisionally
-    bound there; ties go to the earlier tile of the architecture.
-    ``binding`` is left as it was.  The greedy binder and the exact
-    search branch in this order.
+    bound there; ties go to the earlier tile of the architecture.  The
+    ledger is left as it was.  The greedy binder and the exact search
+    branch in this order.
     """
-    requirements = application.requirements(actor)
+    requirements = ledger.application.requirements(actor)
     scored = []
-    for rank, tile in enumerate(architecture.tiles):
+    for rank, tile in enumerate(ledger.architecture.tiles):
         if not requirements.supports(tile.processor_type):
             continue
-        binding.bind(actor, tile.name)
-        try:
-            cost = tile_cost(
-                application, architecture, binding, tile.name, weights
-            )
-        finally:
-            binding.unbind(actor)
+        ledger.bind(actor, tile.name)
+        cost = ledger.cost(tile.name, weights)
+        ledger.unbind(actor)
         scored.append((cost, rank, tile.name))
     scored.sort()
     return [name for _, _, name in scored]
@@ -80,15 +74,13 @@ def bind_application(
     application.check_complete()
     obs = get_metrics()
     order = binding_order(application, cycle_limit=cycle_limit)
-    binding = Binding()
+    ledger = TileLedger(application, architecture)
     retries = 0
 
     for actor in order:
         if budget is not None:
             budget.checkpoint()
-        candidates = ranked_tiles(
-            application, architecture, binding, actor, weights
-        )
+        candidates = ranked_tiles(ledger, actor, weights)
         if not candidates:
             raise BindingError(
                 f"actor {actor!r} is supported by no tile of "
@@ -96,16 +88,15 @@ def bind_application(
             )
         placed = False
         for tile_name in candidates:
-            binding.bind(actor, tile_name)
-            if check_binding_constraints(application, architecture, binding):
+            ledger.bind(actor, tile_name)
+            if not ledger_violations(ledger):
                 placed = True
                 break
-            binding.unbind(actor)
+            ledger.unbind(actor)
             retries += 1
         if not placed:
-            binding.bind(actor, candidates[0])
-            violations = binding_violations(application, architecture, binding)
-            binding.unbind(actor)
+            ledger.bind(actor, candidates[0])
+            violations = ledger_violations(ledger)
             raise BindingError(
                 f"no feasible tile for actor {actor!r}; e.g. on "
                 f"{candidates[0]!r}: "
@@ -116,16 +107,12 @@ def bind_application(
         obs.counter("binding.actors_bound", len(order))
         obs.counter("binding.retries", retries)
     if optimise:
-        _rebalance(
-            application, architecture, binding, order, weights, budget=budget
-        )
-    return binding
+        _rebalance(ledger, order, weights, budget=budget)
+    return ledger.binding
 
 
 def _rebalance(
-    application: ApplicationGraph,
-    architecture: ArchitectureGraph,
-    binding: Binding,
+    ledger: TileLedger,
     order: List[str],
     weights: CostWeights,
     budget: Optional[Budget] = None,
@@ -133,35 +120,33 @@ def _rebalance(
     """Reverse-order rebinding pass (always succeeds)."""
     obs = get_metrics()
     moves = 0
-    tile_order = {name: i for i, name in enumerate(architecture.tile_names)}
+    tiles = ledger.architecture.tiles
+    tile_order = {tile.name: i for i, tile in enumerate(tiles)}
     for actor in reversed(order):
         if budget is not None:
             budget.checkpoint()
-        original = binding.tile_of(actor)
-        binding.unbind(actor)
-        requirements = application.requirements(actor)
+        original = ledger.binding.tile_of(actor)
+        ledger.unbind(actor)
+        requirements = ledger.application.requirements(actor)
         # Cost of the binding *without* the actor steers the re-sort.
         candidates = sorted(
             (
                 tile.name
-                for tile in architecture.tiles
+                for tile in tiles
                 if requirements.supports(tile.processor_type)
             ),
-            key=lambda t: (
-                tile_cost(application, architecture, binding, t, weights),
-                tile_order[t],
-            ),
+            key=lambda t: (ledger.cost(t, weights), tile_order[t]),
         )
         placed = False
         for tile_name in candidates:
-            binding.bind(actor, tile_name)
-            if check_binding_constraints(application, architecture, binding):
+            ledger.bind(actor, tile_name)
+            if not ledger_violations(ledger):
                 placed = True
                 break
-            binding.unbind(actor)
+            ledger.unbind(actor)
         if not placed:  # pragma: no cover - original tile always fits
-            binding.bind(actor, original)
-        elif binding.tile_of(actor) != original:
+            ledger.bind(actor, original)
+        elif tile_name != original:
             moves += 1
     if obs.enabled:
         obs.counter("binding.rebalance_moves", moves)

@@ -8,10 +8,12 @@ A binding is resource-feasible when, for every tile,
 3. the NI connection count fits (``|D_src| + |D_dst| <= c_t``),
 4. the summed channel bandwidths fit the incoming/outgoing limits.
 
-Every sum comes from :func:`repro.core.tile_cost.tile_usage`, the
-account Eqn. 2 reads too.  The same accounting, after slice
-allocation, yields the
-:class:`~repro.arch.resources.ResourceReservation` an accepted
+Every sum comes from the per-tile account Eqn. 2 reads too: the
+checks read a :class:`repro.core.tile_cost.TileLedger`, which the
+greedy binder and the exact search update one actor move at a time.
+The same accounting, derived from scratch by
+:func:`repro.core.tile_cost.tile_usage` after slice allocation, yields
+the :class:`~repro.arch.resources.ResourceReservation` an accepted
 application commits to the architecture.
 """
 
@@ -24,7 +26,7 @@ from repro.appmodel.application import ApplicationGraph
 from repro.appmodel.binding import Binding
 from repro.arch.architecture import ArchitectureGraph
 from repro.arch.resources import ResourceReservation
-from repro.core.tile_cost import tile_usage
+from repro.core.tile_cost import TileLedger, tile_usage
 
 
 @dataclass
@@ -43,22 +45,19 @@ class ConstraintViolation:
         )
 
 
-def binding_violations(
-    application: ApplicationGraph,
-    architecture: ArchitectureGraph,
-    binding: Binding,
-) -> List[ConstraintViolation]:
-    """All Section 7 violations of a (partial) binding.
+def ledger_violations(ledger: TileLedger) -> List[ConstraintViolation]:
+    """All Section 7 violations of the ledger's (partial) binding.
 
     Channels to unbound actors are not yet counted (consistent with the
     cost function); cross-tile channels additionally require a
     connection in the architecture and a crossable channel (beta > 0),
     which are reported as ``connection-missing`` violations.
     """
+    application = ledger.application
+    architecture = ledger.architecture
+    assignment = ledger.binding.assignment
     violations: List[ConstraintViolation] = []
-    for tile_name, usage in tile_usage(
-        application, architecture, binding
-    ).items():
+    for tile_name, usage in ledger.usage.items():
         tile = architecture.tile(tile_name)
         if tile.wheel_remaining < 1:
             violations.append(
@@ -87,12 +86,21 @@ def binding_violations(
         for channel in usage.outgoing:
             crossable = application.channel(channel.name).crossable
             if not crossable or not architecture.connected(
-                tile_name, binding.tile_of(channel.dst)
+                tile_name, assignment[channel.dst]
             ):
                 violations.append(
                     ConstraintViolation(tile_name, "connection-missing", 1, 0)
                 )
     return violations
+
+
+def binding_violations(
+    application: ApplicationGraph,
+    architecture: ArchitectureGraph,
+    binding: Binding,
+) -> List[ConstraintViolation]:
+    """All Section 7 violations of a (partial) binding."""
+    return ledger_violations(TileLedger(application, architecture, binding))
 
 
 def check_binding_constraints(

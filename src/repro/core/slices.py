@@ -11,9 +11,13 @@ shrinks the slice between ``floor(l_p(t) * omega_t / max_t' l_p(t'))``
 and the phase-1 result, keeping the other tiles fixed, until no slice
 can be reduced without violating the throughput constraint.
 
-Every evaluation is one constrained state-space exploration; the count
-is reported because the paper uses it (§10: 16.1 average checks per
-allocation, 34 for the multimedia system).
+Every evaluation is one throughput check; the count is reported
+because the paper uses it (§10: 16.1 average checks per allocation, 34
+for the multimedia system).  A check is one constrained state-space
+exploration, unless some tile's slice is below that tile's floor
+(:class:`SliceFloors`): the utilisation bound then already fails the
+probe, and it is decided without exploring.  The first, full-wheel
+probe is always explored, because the error reports its rate.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ from typing import Any, Dict, Optional
 
 from repro.appmodel.binding_aware import BindingAwareGraph
 from repro.appmodel.binding import SchedulingFunction
-from repro.core.tile_cost import tile_usage
 from repro.obs import get_metrics
 from repro.resilience.budget import Budget, BudgetExceededError
 from repro.throughput.constrained import (
@@ -49,6 +52,51 @@ class SliceAllocationResult:
     #: produced ``achieved_throughput`` (the accepted evaluation, not
     #: necessarily the last one the binary search tried)
     certificate: Optional[Dict[str, Any]] = None
+
+
+@dataclass(frozen=True)
+class SliceFloors:
+    """Per used tile of a binding-aware graph, the least useful slice.
+
+    One iteration puts ``sum_{a on t} gamma(a) * tau(a)`` of work on
+    tile ``t``, and a slice ``omega`` of wheel ``w`` supplies at most
+    ``omega / w`` of every time unit, so the output rate is at most
+    ``gamma(out) * omega / (w * sum gamma*tau)`` (THEORY §4).  That
+    bound reaches ``lambda`` exactly when ``omega`` is at least the
+    tile's floor ``ceil(lambda * w * sum gamma*tau / gamma(out))``; a
+    probe with a slice below its tile's floor cannot meet the
+    constraint.
+    """
+
+    #: ``sum_{a on t} gamma(a) * tau(a)`` per used tile
+    work: Dict[str, int]
+    #: ``ceil(lambda * w_t * work_t / gamma(out))`` per used tile
+    floors: Dict[str, int]
+
+    @classmethod
+    def of(cls, bag: BindingAwareGraph) -> "SliceFloors":
+        application = bag.application
+        gamma = application.gamma
+        constraint = Fraction(application.throughput_constraint)
+        divisor = constraint.denominator * gamma[application.output_actor]
+        work = {name: 0 for name in bag.binding.used_tiles()}
+        for actor, tile_name in bag.binding.assignment.items():
+            tau = bag.graph.actor(actor).execution_time
+            work[tile_name] += gamma[actor] * tau
+        floors = {
+            name: -(
+                -constraint.numerator
+                * bag.architecture.tile(name).wheel
+                * amount
+                // divisor
+            )
+            for name, amount in work.items()
+        }
+        return cls(work, floors)
+
+    def rejects(self, slices: Dict[str, int]) -> bool:
+        """Whether some tile's slice in ``slices`` is below its floor."""
+        return any(slices[name] < floor for name, floor in self.floors.items())
 
 
 def allocate_time_slices(
@@ -88,17 +136,22 @@ def allocate_time_slices(
         scheduling.set_schedule(name, schedule)
 
     obs = get_metrics()
+    floors = SliceFloors.of(bag)
 
     # certificate of the most recent evaluation (index 0), copied into
     # best_certificate whenever that evaluation's slices are accepted
     last_certificate: list = [None]
 
-    def evaluate(slices: Dict[str, int]) -> Fraction:
+    def charge_check() -> None:
         nonlocal checks
         checks += 1
         obs.counter("slices.throughput_checks")
         if budget is not None:
             budget.charge_check()
+
+    def explore(slices: Dict[str, int]) -> Fraction:
+        """One throughput check: the probe's constrained rate."""
+        charge_check()
         for name in tile_names:
             scheduling.set_slice(name, slices[name])
         constraints = bag.tile_constraints(scheduling)
@@ -112,13 +165,22 @@ def allocate_time_slices(
         last_certificate[0] = result.certificate
         return result.of(output_actor)
 
+    def evaluate(slices: Dict[str, int]) -> Optional[Fraction]:
+        """One throughput check: the probe's rate, or None when a
+        slice below its floor fails the probe unexplored."""
+        if floors.rejects(slices):
+            charge_check()
+            obs.counter("slices.floor_rejections")
+            return None
+        return explore(slices)
+
     def shared(f: int) -> Dict[str, int]:
         return {name: min(f, remaining[name]) for name in tile_names}
 
     # -- phase 1: shared slice size ------------------------------------
     high = max(remaining.values())
     slices = shared(high)
-    achieved = evaluate(slices)
+    achieved = explore(slices)
     if achieved < constraint:
         raise SliceAllocationError(
             f"application {application.name!r}: even full remaining "
@@ -132,7 +194,7 @@ def allocate_time_slices(
         while low < high:
             mid = (low + high) // 2
             throughput_mid = evaluate(shared(mid))
-            if throughput_mid >= constraint:
+            if throughput_mid is not None and throughput_mid >= constraint:
                 best_f, best_throughput = mid, throughput_mid
                 best_certificate = last_certificate[0]
                 high = mid
@@ -150,12 +212,12 @@ def allocate_time_slices(
         # -- phase 2: per-tile refinement ------------------------------
         if refine and len(tile_names) > 0:
             # l_p(t) / max l_p = work(t) / max work: the total work cancels
-            usage = tile_usage(application, bag.architecture, bag.binding)
-            max_work = max(usage[name].work for name in tile_names)
+            work = floors.work
+            max_work = max(work[name] for name in tile_names)
             for name in tile_names:
                 upper = slices[name]
                 if max_work > 0:
-                    lower = usage[name].work * upper // max_work
+                    lower = work[name] * upper // max_work
                 else:
                     lower = 1
                 lower = max(lower, 1)
@@ -165,7 +227,10 @@ def allocate_time_slices(
                     candidate = dict(slices)
                     candidate[name] = mid
                     throughput_mid = evaluate(candidate)
-                    if throughput_mid >= constraint:
+                    if (
+                        throughput_mid is not None
+                        and throughput_mid >= constraint
+                    ):
                         slices = candidate
                         achieved = throughput_mid
                         best_certificate = last_certificate[0]

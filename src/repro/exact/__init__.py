@@ -18,6 +18,12 @@ exact``).
   verified by the existing constrained state-space engine, so returned
   allocations carry a :mod:`repro.verify` certificate like greedy ones.
 
+The search keeps one :class:`repro.core.tile_cost.TileLedger`: actors
+move through it, and the objective, the bound and the Section 7 check
+read it instead of rescanning the binding.  Leaf probes below a tile's
+slice floor (:class:`repro.core.slices.SliceFloors`) are decided
+without exploring them.
+
 See ``docs/EXACT.md`` for the formulation, the bounding argument, and
 the optimality-gap differential harness built on top
 (``tests/test_differential_allocation.py``).

@@ -23,7 +23,9 @@ extended (every load numerator only grows with more bound actors and
 channels, denominators are fixed by the architecture state), which is
 what makes :func:`binding_load_cost` of a partial binding an admissible
 lower bound for the search — provided all weights are non-negative,
-which :func:`repro.exact.search.exact_search` enforces.
+which :func:`repro.exact.search.exact_search` enforces.  The search
+reads the same sum from its :class:`~repro.core.tile_cost.TileLedger`
+with :func:`load_cost`, once per node, and hands it to the leaf.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from typing import Dict, Tuple
 from repro.appmodel.application import ApplicationGraph
 from repro.appmodel.binding import Binding
 from repro.arch.architecture import ArchitectureGraph
-from repro.core.tile_cost import CostWeights, tile_usage
+from repro.core.tile_cost import CostWeights, TileLedger
 
 
 def weight_fractions(
@@ -53,6 +55,29 @@ def weight_fractions(
     )
 
 
+def load_cost(
+    ledger: TileLedger, weights: Tuple[Fraction, Fraction, Fraction]
+) -> Fraction:
+    """Eqn. 2 summed over the used tiles of the ledger's binding.
+
+    ``weights`` are :func:`weight_fractions`, converted once per
+    search.  Each load kind is summed over the tiles as one integer
+    ratio and reduced once.
+    """
+    sums = [(0, 1)] * 3
+    for tile_name, usage in ledger.usage.items():
+        terms = usage.load_terms(
+            ledger.architecture.tile(tile_name), ledger.total_work
+        )
+        sums = [
+            (n * term_d + term_n * d, d * term_d)
+            for (n, d), (term_n, term_d) in zip(sums, terms)
+        ]
+    return sum(
+        (c * Fraction(n, d) for c, (n, d) in zip(weights, sums)), Fraction(0)
+    )
+
+
 def binding_load_cost(
     application: ApplicationGraph,
     architecture: ArchitectureGraph,
@@ -60,15 +85,10 @@ def binding_load_cost(
     weights: CostWeights,
 ) -> Fraction:
     """Eqn. 2 summed over the used tiles of a (possibly partial) binding."""
-    c1, c2, c3 = weight_fractions(weights)
-    total_work = application.total_worst_case_work()
-    total = Fraction(0)
-    for tile_name, usage in tile_usage(
-        application, architecture, binding
-    ).items():
-        load = usage.load(architecture.tile(tile_name), total_work)
-        total += c1 * load.processing + c2 * load.memory + c3 * load.communication
-    return total
+    return load_cost(
+        TileLedger(application, architecture, binding),
+        weight_fractions(weights),
+    )
 
 
 def slice_cost(

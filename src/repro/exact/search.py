@@ -18,12 +18,16 @@ Shape of the search:
    (a) the Section 7 resource constraints are already violated — all
    demands only grow as the binding is extended, so no completion can
    recover; (b) the refined static throughput bound
-   (:func:`repro.exact.bounds.partial_throughput_bound`) falls below
+   (:func:`repro.exact.bounds.partial_throughput_bound`, read through
+   the search's :class:`~repro.exact.bounds.ThroughputBound`) falls below
    the constraint; or (c) the admissible cost lower bound (partial
    Eqn. 2 loads plus one minimal slice per used tile) already reaches
    the incumbent's cost.  (b) and (c) are the *relaxation* prunes and
    can be disabled with ``prune=False`` — the property tests compare
-   both modes to show pruning never changes the optimum.
+   both modes to show pruning never changes the optimum.  Actors move
+   through one :class:`~repro.core.tile_cost.TileLedger`, which all
+   three checks and the candidate ranking read; a node's Eqn. 2 cost is
+   computed at most once and handed down to its leaf.
 2. **Leaves.**  A complete binding gets its §9.2 static orders, then a
    depth-first search over per-tile slice widths on the grid
    ``{step, 2*step, ..., wheel_remaining}``.  Throughput is monotone
@@ -33,9 +37,12 @@ Shape of the search:
    maximum" is found by binary search and smaller widths need never be
    tried, and (iii) on the last tile the first feasible width is the
    cheapest completion of the prefix.  Every evaluation is one
-   constrained state-space exploration whose certificate is kept, so
-   the winning allocation carries the same :mod:`repro.verify` evidence
-   a greedy allocation does.
+   throughput check: a constrained state-space exploration whose
+   certificate is kept, so the winning allocation carries the same
+   :mod:`repro.verify` evidence a greedy allocation does — unless a
+   slice is below its tile's floor
+   (:class:`~repro.core.slices.SliceFloors`), which fails the probe
+   without exploring it.
 
 With ``slice_step=1`` the slice grid is a superset of anything the
 greedy binary search can return, hence for any binding both backends
@@ -58,12 +65,13 @@ from repro.appmodel.binding_aware import (
 )
 from repro.arch.architecture import ArchitectureGraph
 from repro.core.binding import ranked_tiles
-from repro.core.constraints import check_binding_constraints, reservation_for
+from repro.core.constraints import ledger_violations, reservation_for
 from repro.core.criticality import binding_order
 from repro.core.scheduling import SchedulingError, build_static_order_schedules
-from repro.core.tile_cost import CostWeights
-from repro.exact.bounds import partial_throughput_bound
-from repro.exact.cost import binding_load_cost
+from repro.core.slices import SliceFloors
+from repro.core.tile_cost import CostWeights, TileLedger
+from repro.exact.bounds import ThroughputBound
+from repro.exact.cost import load_cost, weight_fractions
 from repro.obs import get_metrics
 from repro.obs.trace import get_trace
 from repro.resilience.budget import Budget, BudgetExceededError
@@ -180,13 +188,17 @@ def _search_slices(
     for name, schedule in schedules.items():
         scheduling.set_schedule(name, schedule)
 
+    floors = SliceFloors.of(bag)
     memo: Dict[
-        Tuple[int, ...], Tuple[Fraction, Optional[Dict[str, Any]]]
+        Tuple[int, ...], Tuple[Optional[Fraction], Optional[Dict[str, Any]]]
     ] = {}
 
     def evaluate(
         slices: Dict[str, int],
-    ) -> Tuple[Fraction, Optional[Dict[str, Any]]]:
+    ) -> Tuple[Optional[Fraction], Optional[Dict[str, Any]]]:
+        """One throughput check per distinct vector: its rate and
+        certificate, or ``(None, None)`` when a slice below its floor
+        fails the probe unexplored."""
         key = tuple(slices[name] for name in names)
         cached = memo.get(key)
         if cached is not None:
@@ -195,6 +207,10 @@ def _search_slices(
         obs.counter("exact.throughput_checks")
         if budget is not None:
             budget.charge_check()
+        if floors.rejects(slices):
+            obs.counter("slices.floor_rejections")
+            memo[key] = (None, None)
+            return memo[key]
         for name in names:
             scheduling.set_slice(name, slices[name])
         result = constrained_throughput(
@@ -210,7 +226,7 @@ def _search_slices(
     # even the full remaining wheels miss the constraint: dead leaf, by
     # monotonicity of throughput in the slice widths
     achieved, _ = evaluate(dict(remaining))
-    if achieved < constraint:
+    if achieved is None or achieved < constraint:
         return None
 
     best: Optional[_SliceOutcome] = None
@@ -244,7 +260,7 @@ def _search_slices(
             for j in range(index + 1, len(names)):
                 candidate[names[j]] = remaining[names[j]]
             rate, _ = evaluate(candidate)
-            return rate >= constraint
+            return rate is not None and rate >= constraint
 
         # smallest width on the grid that can still reach the
         # constraint when every later tile takes its whole wheel;
@@ -270,7 +286,7 @@ def _search_slices(
             candidate[name] = width
             if last:
                 rate, certificate = evaluate(candidate)
-                if rate >= constraint:
+                if rate is not None and rate >= constraint:
                     best = _SliceOutcome(
                         dict(candidate), cost, rate, certificate
                     )
@@ -329,11 +345,11 @@ def exact_search(
     stats = _Stats()
     incumbent: Optional[_Incumbent] = None
 
-    partial = binding.copy() if binding is not None else Binding()
+    fixed = binding if binding is not None else Binding()
     order = [
         actor
         for actor in binding_order(application, cycle_limit=cycle_limit)
-        if not partial.is_bound(actor)
+        if not fixed.is_bound(actor)
     ]
 
     def finish(span: Any) -> ExactSearchResult:
@@ -401,34 +417,39 @@ def exact_search(
             return finish(span)
         # the fixed actors are the root node: all demands only grow as
         # the binding is extended, so a violated root has no feasible leaf
-        if not check_binding_constraints(application, architecture, partial):
+        ledger = TileLedger(application, architecture, fixed)
+        if ledger_violations(ledger):
             stats.rejected += 1
             return finish(span)
-
-        def admissible(current: Binding) -> bool:
-            """False when no completion of ``current`` can matter."""
-            bound = partial_throughput_bound(
-                application, architecture, current
+        bound = ThroughputBound(application, architecture)
+        fractions = weight_fractions(weights)
+        # every used tile will pay at least one grid width of slice
+        minimal_slice = {
+            tile.name: Fraction(
+                max(0, min(slice_step, tile.wheel_remaining)), tile.wheel
             )
-            if bound is not None and bound < constraint:
-                return False
-            if incumbent is not None:
-                lower = binding_load_cost(
-                    application, architecture, current, weights
-                )
-                for tile_name in current.used_tiles():
-                    tile = architecture.tile(tile_name)
-                    minimum = max(
-                        0, min(slice_step, tile.wheel_remaining)
-                    )
-                    lower += Fraction(minimum, tile.wheel)
-                if lower >= incumbent.cost:
-                    return False
-            return True
+            for tile in architecture.tiles
+        }
 
-        def evaluate_leaf(current: Binding) -> None:
+        def admissible() -> Tuple[bool, Optional[Fraction]]:
+            """Whether some completion of the ledger's binding can
+            matter, and the binding's Eqn. 2 cost if that took it."""
+            limit = bound.of(ledger)
+            if limit is not None and limit < constraint:
+                return False, None
+            if incumbent is None:
+                return True, None
+            cost = load_cost(ledger, fractions)
+            lower = cost + sum(
+                (minimal_slice[tile_name] for tile_name in ledger.usage),
+                Fraction(0),
+            )
+            return lower < incumbent.cost, cost
+
+        def evaluate_leaf(cost: Optional[Fraction]) -> None:
             nonlocal incumbent
             stats.leaves += 1
+            current = ledger.binding
             try:
                 bag = build_binding_aware_graph(
                     application, architecture, current
@@ -441,9 +462,7 @@ def exact_search(
             except StateSpaceExplosionError:
                 stats.explosions += 1
                 return
-            base = binding_load_cost(
-                application, architecture, current, weights
-            )
+            base = cost if cost is not None else load_cost(ledger, fractions)
             try:
                 outcome = _search_slices(
                     bag,
@@ -480,30 +499,30 @@ def exact_search(
                         tiles_used=len(current.used_tiles()),
                     )
 
-        def descend(index: int) -> None:
+        def descend(index: int, cost: Optional[Fraction]) -> None:
+            """Branch on ``order[index]``; ``cost`` is the current
+            binding's Eqn. 2 cost when its node computed it."""
             if budget is not None:
                 budget.checkpoint()
             if index == len(order):
-                evaluate_leaf(partial)
+                evaluate_leaf(cost)
                 return
             actor = order[index]
-            for tile_name in ranked_tiles(
-                application, architecture, partial, actor, weights
-            ):
-                partial.bind(actor, tile_name)
+            for tile_name in ranked_tiles(ledger, actor, weights):
+                ledger.bind(actor, tile_name)
                 stats.nodes += 1
-                if not check_binding_constraints(
-                    application, architecture, partial
-                ):
+                if ledger_violations(ledger):
                     stats.rejected += 1
-                elif prune and not admissible(partial):
-                    stats.pruned += 1
                 else:
-                    descend(index + 1)
-                partial.unbind(actor)
+                    keep, node_cost = admissible() if prune else (True, None)
+                    if keep:
+                        descend(index + 1, node_cost)
+                    else:
+                        stats.pruned += 1
+                ledger.unbind(actor)
 
         try:
-            descend(0)
+            descend(0, None)
         except BudgetExceededError as error:
             progress: Dict[str, Any] = {
                 "nodes_explored": stats.nodes,

@@ -1,6 +1,8 @@
 """Unit tests for the repro-alloc command-line interface."""
 
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
@@ -16,11 +18,33 @@ def graph_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def csdf_file(tmp_path):
+    """The phased stereo filter of ``examples/csdf_analysis.py`` (true
+    iteration rate 1/9), written with ``csdf_to_json``."""
+    from repro.csdf.serialization import csdf_to_json
+
+    path = Path(__file__).resolve().parents[1] / "examples" / "csdf_analysis.py"
+    spec = importlib.util.spec_from_file_location("csdf_analysis", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    document = tmp_path / "stereo.json"
+    document.write_text(csdf_to_json(module.phased_csdf_model()))
+    return str(document)
+
+
 def test_analyse_prints_throughput(graph_file, capsys):
     assert main(["analyse", graph_file]) == 0
     out = capsys.readouterr().out
     assert "iteration rate: 1/5" in out
     assert "throughput(a) = 1/5" in out
+
+
+def test_analyse_reads_a_csdf_document_as_csdf(csdf_file, capsys):
+    assert main(["analyse", csdf_file]) == 0
+    out = capsys.readouterr().out
+    assert "iteration rate: 1/9" in out
+    assert "throughput(dac) = 2/9" in out
 
 
 def test_analyse_auto_concurrency_flag(graph_file, capsys):
@@ -161,6 +185,13 @@ def test_dot_command(graph_file, capsys):
     assert '"a" -> "b"' in out
 
 
+def test_dot_refuses_a_csdf_document(csdf_file, capsys):
+    assert main(["dot", csdf_file]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "CSDF document" in captured.err
+
+
 def test_trace_command(capsys):
     assert main(["trace", "--width", "40"]) == 0
     out = capsys.readouterr().out
@@ -211,6 +242,13 @@ def test_profile_graph_reports_states_and_timings(graph_file, capsys):
     assert any(
         span["name"] == "state_space.throughput" for span in metrics["spans"]
     )
+
+
+def test_profile_reads_a_csdf_document_as_csdf(csdf_file, capsys):
+    assert main(["profile", csdf_file]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["result"]["graph"] == "stereo-csdf"
+    assert report["result"]["iteration_rate"] == "1/9"
 
 
 def test_profile_example_records_allocation_phases(capsys):

@@ -249,6 +249,52 @@ def test_search_emits_metrics_and_trace():
     assert ("exact", "incumbent") in events
 
 
+@pytest.mark.parametrize(
+    "profile, seed", [("SMALL_PROFILE", 2), ("HEAVY_PROFILE", 201)]
+)
+def test_slice_floors_leave_the_search_unchanged(monkeypatch, profile, seed):
+    """Leaf probes below a slice floor are counted checks without an
+    exploration; the search is otherwise the one that explores them."""
+    from repro.core.slices import SliceFloors
+    import tests.test_differential_allocation as corpus
+
+    application = corpus._application(getattr(corpus, profile), seed)
+
+    def search():
+        return exact_search(
+            application, corpus._architecture(seed), weights=WEIGHTS
+        )
+
+    with collecting() as metrics:
+        floored = search()
+    counters = metrics.snapshot()["counters"]
+    rejected = counters["slices.floor_rejections"]
+    assert rejected > 0
+    assert counters["constrained.executions"] == (
+        floored.throughput_checks - rejected
+    )
+    monkeypatch.setattr(SliceFloors, "rejects", lambda self, slices: False)
+    explored = search()
+    assert floored.cost == explored.cost
+    assert floored.allocation.binding == explored.allocation.binding
+    assert (
+        floored.allocation.scheduling.slices
+        == explored.allocation.scheduling.slices
+    )
+    assert floored.allocation.certificate == explored.allocation.certificate
+    assert [
+        floored.nodes_explored,
+        floored.nodes_pruned,
+        floored.leaves_evaluated,
+        floored.throughput_checks,
+    ] == [
+        explored.nodes_explored,
+        explored.nodes_pruned,
+        explored.leaves_evaluated,
+        explored.throughput_checks,
+    ]
+
+
 def test_fault_injection_reaches_the_search():
     from repro.resilience.faults import (
         FaultInjector,

@@ -17,8 +17,15 @@ paper's example, checks a stronger form: it keeps the alignment actors
 *and* moves the windows.  That form fails on generated applications: 41
 of the same 120 checks fall below the constraint (``mixed-3-4`` reaches
 1/200 against λ = 1/170), so that helper must not be lifted to them.
+
+The claimed form itself fails on one allocation of the greedy-vs-exact
+corpus: a heavy-profile application on a wheel-8 mesh whose window
+placements run below λ although the offset-0 analysis certifies it.
+That counterexample is pinned below as a finding; the model is not
+changed here.
 """
 
+import itertools
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -189,3 +196,55 @@ def test_offset_zero_analysis_bounds_random_windows_on_generated_applications():
             assert placed_rate >= analysed, (application.name, offsets)
             checks += 1
     assert checks == 120
+
+
+def test_offset_zero_analysis_is_refuted_on_a_heavy_exact_corpus_allocation():
+    """A finding, not a property (THEORY §3): the greedy allocation of
+    the heavy profile's seed 69 on its 1x3 wheel-8 mesh meets
+    λ = 11/200 in the offset-0 analysis (1/16), yet with its ``syn:``
+    actors at time 0, 49 of its 392 window placements run below λ, the
+    slowest at 3/56.  A repair of the model must turn these assertions
+    around; the input stays."""
+    from tests.test_differential_allocation import (
+        HEAVY_PROFILE,
+        _application,
+        _architecture,
+        _greedy,
+    )
+
+    application = _application(HEAVY_PROFILE, 69)
+    architecture = _architecture(69)
+    allocation = _greedy(application, architecture)
+    assert allocation.binding.assignment == {
+        "a1": "t1",
+        "a0": "t2",
+        "a3": "t2",
+        "a2": "t0",
+    }
+    assert allocation.scheduling.slices == {"t1": 1, "t2": 2, "t0": 2}
+    bag = build_binding_aware_graph(
+        application,
+        architecture,
+        allocation.binding,
+        slices=dict(allocation.scheduling.slices),
+    )
+    tiles = bag.tile_constraints(allocation.scheduling)
+    output = application.output_actor
+    constraint = application.throughput_constraint
+    assert constraint == Fraction(11, 200)
+    assert constrained_throughput(bag.graph, tiles).of(output) == Fraction(1, 16)
+    for actor in bag.sync_actors.values():
+        bag.graph.actor(actor).execution_time = 0
+    rates = {}
+    for starts in itertools.product(
+        *(range(tile.wheel - tile.slice_size + 1) for tile in tiles)
+    ):
+        placed = [
+            replace(tile, slice_start=start)
+            for tile, start in zip(tiles, starts)
+        ]
+        rates[starts] = constrained_throughput(bag.graph, placed).of(output)
+    assert [tile.name for tile in tiles] == ["t1", "t2", "t0"]
+    assert len(rates) == 392
+    assert sum(rate < constraint for rate in rates.values()) == 49
+    assert min(rates.values()) == rates[(0, 2, 0)] == Fraction(3, 56)

@@ -5,7 +5,8 @@ on the running example to check the two facts the binary searches rely
 on — throughput is monotone in every slice, and the allocation the
 strategy returns is locally minimal (no single slice can shrink without
 breaking the constraint).  Monotonicity is also sampled on greedy
-allocations of generated applications.
+allocations of generated applications, and so is the utilisation bound
+behind the slice floors both searches decide probes with.
 """
 
 import random
@@ -22,7 +23,7 @@ from repro.appmodel.example import (
 )
 from repro.arch.presets import benchmark_architectures
 from repro.core.scheduling import build_static_order_schedules
-from repro.core.slices import allocate_time_slices
+from repro.core.slices import SliceFloors, allocate_time_slices
 from repro.core.strategy import ResourceAllocator
 from repro.generate.benchmark import generate_benchmark_set
 from repro.throughput.constrained import constrained_throughput
@@ -72,19 +73,51 @@ def test_throughput_monotone_in_each_slice(example_setup):
             assert rates[(slice_t1, slice_t2 + 1)] >= rate
 
 
+def _greedy_allocations():
+    """``(application, architecture, allocation, samples)`` for greedy
+    allocations of the six ``mixed`` applications of generator seed 3
+    on the first §10.1 mesh (20 samples each), and of the greedy-vs-exact
+    corpus's small and heavy profiles on its 1x2 and 1x3 wheel-8 meshes
+    (5 samples each; all 40 seeds allocate, infeasible ones would be
+    skipped)."""
+    from tests.test_differential_allocation import (
+        HEAVY_PROFILE,
+        SMALL_PROFILE,
+        _application,
+        _architecture,
+        _greedy,
+    )
+
+    architecture = benchmark_architectures()[0]
+    allocator = ResourceAllocator()
+    for application in generate_benchmark_set(
+        "mixed", 6, architecture.processor_types(), seed=3
+    ):
+        yield (
+            application,
+            architecture,
+            allocator.allocate(application, architecture),
+            20,
+        )
+    for profile, seeds in (
+        (SMALL_PROFILE, range(20)),
+        (HEAVY_PROFILE, range(60, 80)),
+    ):
+        for seed in seeds:
+            application = _application(profile, seed)
+            architecture = _architecture(seed)
+            allocation = _greedy(application, architecture)
+            if allocation is not None:
+                yield application, architecture, allocation, 5
+
+
 def test_throughput_monotone_in_each_slice_on_generated_applications():
     """At random slice vectors of greedy allocations of generated
     applications, one more slot on one tile never lowers the output
     actor's constrained throughput."""
-    architecture = benchmark_architectures()[0]
-    applications = generate_benchmark_set(
-        "mixed", 6, architecture.processor_types(), seed=3
-    )
-    allocator = ResourceAllocator()
     rng = random.Random(4)
     pairs = 0
-    for application in applications:
-        allocation = allocator.allocate(application, architecture)
+    for application, architecture, allocation, samples in _greedy_allocations():
         tiles = allocation.binding.used_tiles()
         wheels = {t: architecture.tile(t).wheel for t in tiles}
         schedules = {t: allocation.scheduling.schedule_of(t) for t in tiles}
@@ -94,7 +127,7 @@ def test_throughput_monotone_in_each_slice_on_generated_applications():
                 application, architecture, allocation.binding, schedules, slices
             )
 
-        for _ in range(20):
+        for _ in range(samples):
             tile = rng.choice(tiles)
             slices = {t: rng.randint(1, wheels[t]) for t in tiles}
             slices[tile] = rng.randint(1, wheels[tile] - 1)
@@ -103,7 +136,40 @@ def test_throughput_monotone_in_each_slice_on_generated_applications():
             raised = rate(slices)
             assert raised >= lower, (application.name, tile, slices, lower, raised)
             pairs += 1
-    assert pairs >= 100
+    assert pairs == 120 + 200
+
+
+def test_floor_bounds_the_explored_rate_on_generated_applications():
+    """At random slice vectors of greedy allocations of generated
+    applications, the explored rate never exceeds the utilisation bound
+    ``min_t gamma(out) * omega_t / (w_t * sum gamma*tau)`` — so no probe
+    a slice floor rejects can reach the constraint."""
+    rng = random.Random(6)
+    vectors = rejected = 0
+    for application, architecture, allocation, samples in _greedy_allocations():
+        binding = allocation.binding
+        tiles = binding.used_tiles()
+        wheels = {t: architecture.tile(t).wheel for t in tiles}
+        schedules = {t: allocation.scheduling.schedule_of(t) for t in tiles}
+        floors = SliceFloors.of(
+            build_binding_aware_graph(application, architecture, binding)
+        )
+        gamma_out = application.gamma[application.output_actor]
+        for _ in range(2 * samples):
+            slices = {t: rng.randint(1, wheels[t]) for t in tiles}
+            rate = evaluate(application, architecture, binding, schedules, slices)
+            bound = min(
+                Fraction(gamma_out * slices[t], wheels[t] * floors.work[t])
+                for t in tiles
+            )
+            assert rate <= bound, (application.name, slices, rate, bound)
+            if floors.rejects(slices):
+                assert bound < application.throughput_constraint
+                assert rate < application.throughput_constraint
+                rejected += 1
+            vectors += 1
+    assert vectors == 2 * (120 + 200)
+    assert rejected >= vectors // 10  # 94 of the 640
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,12 @@ import pytest
 from repro.appmodel.binding_aware import build_binding_aware_graph
 from repro.appmodel.example import paper_example_application
 from repro.core.scheduling import build_static_order_schedules
-from repro.core.slices import SliceAllocationError, allocate_time_slices
+from repro.core.slices import (
+    SliceAllocationError,
+    SliceFloors,
+    allocate_time_slices,
+)
+from repro.obs import collecting
 
 
 def setup_bag(example_architecture, example_binding, constraint):
@@ -51,6 +56,58 @@ def test_infeasible_constraint_raises(example_architecture, example_binding):
     )
     with pytest.raises(SliceAllocationError):
         allocate_time_slices(bag, schedules)
+
+
+def test_infeasible_error_reports_the_explored_full_wheel_rate(
+    example_architecture, example_binding
+):
+    # every floor exceeds the wheel, yet the first probe is explored
+    bag, schedules = setup_bag(example_architecture, example_binding, Fraction(1))
+    assert all(
+        floor > 10 for floor in SliceFloors.of(bag).floors.values()
+    )
+    with pytest.raises(SliceAllocationError, match=r"reach only \d+/\d+ <"):
+        allocate_time_slices(bag, schedules)
+
+
+@pytest.mark.parametrize(
+    "profile, seed", [("SMALL_PROFILE", 2), ("HEAVY_PROFILE", 209)]
+)
+def test_floors_decide_probes_without_changing_the_search(
+    monkeypatch, profile, seed
+):
+    """On greedy-vs-exact corpus applications whose §9.3 search meets a
+    probe below a slice floor: that probe still counts as a throughput
+    check but runs no exploration, and the search visits the same
+    points and returns the same allocation as one that explores every
+    probe."""
+    import tests.test_differential_allocation as corpus
+
+    application = corpus._application(getattr(corpus, profile), seed)
+    with collecting() as metrics:
+        floored = corpus._greedy(application, corpus._architecture(seed))
+    counters = metrics.snapshot()["counters"]
+    rejected = counters["slices.floor_rejections"]
+    assert rejected > 0
+    assert counters["slices.throughput_checks"] == floored.throughput_checks
+    assert counters["constrained.executions"] == (
+        floored.throughput_checks - rejected
+    )
+    monkeypatch.setattr(SliceFloors, "rejects", lambda self, slices: False)
+    explored = corpus._greedy(application, corpus._architecture(seed))
+    assert (
+        floored.binding,
+        floored.scheduling.slices,
+        floored.achieved_throughput,
+        floored.throughput_checks,
+        floored.certificate,
+    ) == (
+        explored.binding,
+        explored.scheduling.slices,
+        explored.achieved_throughput,
+        explored.throughput_checks,
+        explored.certificate,
+    )
 
 
 def test_occupied_wheel_limits_search(example_architecture, example_binding):

@@ -521,3 +521,106 @@ def test_tile_usage_matches_the_per_tile_rescans():
         "input-bandwidth",
         "connection-missing",
     }
+
+
+def _account(usage):
+    """A :class:`TileUsage` map as comparable values; ``outgoing`` as a
+    set, since the ledger lists it in the order channels started to
+    cross."""
+    return {
+        name: (
+            record.work,
+            record.memory,
+            record.bandwidth_out,
+            record.bandwidth_in,
+            record.connections,
+            sorted(channel.name for channel in record.outgoing),
+        )
+        for name, record in usage.items()
+    }
+
+
+def test_ledger_follows_random_moves_like_a_fresh_account():
+    """Seeded bind, unbind and rebind sequences through one ledger:
+    after every move its account equals ``tile_usage`` from scratch,
+    every tile's float Eqn. 2 cost is bit-identical to the Fraction
+    loads' ``combined``, and the §7 violations, the exact objective and
+    the throughput bound it feeds equal their per-tile rescans."""
+    from repro.core.constraints import ledger_violations
+    from repro.core.tile_cost import TileLedger
+    from repro.exact.bounds import ThroughputBound
+    from repro.exact.cost import load_cost, weight_fractions
+
+    moves = 0
+    for seed, (application, make_architecture) in enumerate(
+        _differential_cases()
+    ):
+        rng = Random(1000 + seed)
+        for occupied in (False, True):
+            architecture = make_architecture()
+            if occupied:
+                _occupy(architecture, rng)
+            ledger = TileLedger(application, architecture)
+            bound = ThroughputBound(application, architecture)
+            actors = application.graph.actor_names
+            for _ in range(24):
+                actor = rng.choice(actors)
+                tiles = [
+                    tile.name
+                    for tile in architecture.tiles
+                    if application.requirements(actor).supports(
+                        tile.processor_type
+                    )
+                ]
+                if ledger.binding.is_bound(actor):
+                    ledger.unbind(actor)
+                    if rng.random() < 0.5:  # rebind
+                        ledger.bind(actor, rng.choice(tiles))
+                else:
+                    ledger.bind(actor, rng.choice(tiles))
+                moves += 1
+                binding = ledger.binding
+                assert _account(ledger.usage) == _account(
+                    tile_usage(application, architecture, binding)
+                )
+                for tile in architecture.tiles:
+                    reference = reference_tile_loads(
+                        application, architecture, binding, tile.name
+                    )
+                    assert ledger.load(tile.name) == reference
+                    for weights in DIFFERENTIAL_WEIGHTS:
+                        assert ledger.cost(
+                            tile.name, weights
+                        ) == reference.combined(weights)
+                assert sorted(
+                    (v.tile, v.constraint, v.demanded, v.available)
+                    for v in ledger_violations(ledger)
+                ) == sorted(
+                    reference_binding_violations(
+                        application, architecture, binding
+                    )
+                )
+                for weights in DIFFERENTIAL_WEIGHTS:
+                    assert load_cost(
+                        ledger, weight_fractions(weights)
+                    ) == reference_binding_load_cost(
+                        application, architecture, binding, weights
+                    )
+                assert bound.of(ledger) == reference_partial_throughput_bound(
+                    application, architecture, binding
+                )
+            for actor in list(ledger.binding.assignment):
+                ledger.unbind(actor)
+            assert ledger.usage == {} and ledger.actor_work == {}
+    assert moves == (4 * 3 * 3 + 12 + 6) * 2 * 24
+
+
+def test_ledger_refuses_to_bind_a_bound_actor(
+    example_application, example_architecture
+):
+    from repro.core.tile_cost import TileLedger
+
+    ledger = TileLedger(example_application, example_architecture)
+    ledger.bind("a1", "t1")
+    with pytest.raises(ValueError, match="already bound"):
+        ledger.bind("a1", "t2")
