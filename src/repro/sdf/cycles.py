@@ -5,10 +5,11 @@ Eqn. 1) as the maximum, over simple cycles through the actor, of
 
     sum_b gamma(b) * tau_max(b)  /  sum_d Tok(d) / q_d .
 
-This module provides generic cycle enumeration on :class:`SDFGraph`
-(via Johnson's algorithm, through networkx) plus exact Fraction-based
-ratio computation.  When several channels connect the same actor pair on
-a cycle, the channel minimising ``Tok/q`` is the binding constraint and
+This module provides simple-cycle enumeration on :class:`SDFGraph`
+(Johnson's elementary-circuit algorithm, SIAM J. Comput. 4(1), 1975,
+over integer actor indices) plus exact Fraction-based ratio
+computation.  When several channels connect the same actor pair on a
+cycle, the channel minimising ``Tok/q`` is the binding constraint and
 is the one counted.
 """
 
@@ -16,22 +17,104 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import islice
-from typing import Dict, List, Optional, Union
-
-import networkx as nx
+from typing import Dict, Iterator, List, Optional, Set, Union
 
 from repro.obs import get_metrics
+from repro.sdf.analysis import strongly_connected_components
 from repro.sdf.graph import SDFGraph
 
 Ratio = Union[Fraction, float]
 
 
-def _to_networkx(graph: SDFGraph) -> nx.DiGraph:
-    digraph = nx.DiGraph()
-    digraph.add_nodes_from(graph.actor_names)
-    for channel in graph.channels:
-        digraph.add_edge(channel.src, channel.dst)
-    return digraph
+def _reach(start: int, adjacency: List[List[int]]) -> Set[int]:
+    """``start`` and the vertices above it that ``adjacency`` reaches
+    from it through vertices above it."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        for vertex in adjacency[stack.pop()]:
+            if vertex > start and vertex not in seen:
+                seen.add(vertex)
+                stack.append(vertex)
+    return seen
+
+
+def _circuits_through(
+    start: int, adjacency: Dict[int, List[int]]
+) -> Iterator[List[int]]:
+    """Johnson's CIRCUIT(s), iteratively: the elementary circuits through
+    ``start`` in ``adjacency``, the successor lists of its strong
+    component among the vertices from ``start`` up."""
+    path = [start]
+    blocked = {start}
+    held: Dict[int, Set[int]] = {}  # Johnson's B lists
+    stack = [iter(adjacency[start])]
+    closed = [False]  # per path vertex: a circuit was found through it
+    while stack:
+        for target in stack[-1]:
+            if target == start:
+                yield path[:]
+                closed[-1] = True
+            elif target not in blocked:
+                path.append(target)
+                blocked.add(target)
+                stack.append(iter(adjacency[target]))
+                closed.append(False)
+                break
+        else:
+            stack.pop()
+            vertex = path.pop()
+            if closed.pop():
+                if closed:
+                    closed[-1] = True
+                unblock = [vertex]
+                while unblock:
+                    vertex = unblock.pop()
+                    if vertex in blocked:
+                        blocked.discard(vertex)
+                        unblock.extend(held.pop(vertex, ()))
+            else:
+                for target in adjacency[vertex]:
+                    held.setdefault(target, set()).add(vertex)
+
+
+def _circuits(successors: List[List[int]]) -> Iterator[List[int]]:
+    """Elementary circuits of a digraph on vertices ``0..n-1`` with
+    distinct successors and no self-loop, lazily: for each start vertex
+    in turn, the circuits whose least vertex it is."""
+    predecessors: List[List[int]] = [[] for _ in successors]
+    for vertex, targets in enumerate(successors):
+        for target in targets:
+            predecessors[target].append(vertex)
+    for start in range(len(successors)):
+        members = _reach(start, successors) & _reach(start, predecessors)
+        if len(members) > 1:
+            yield from _circuits_through(
+                start,
+                {
+                    vertex: [t for t in successors[vertex] if t in members]
+                    for vertex in members
+                },
+            )
+
+
+def _enumerate(graph: SDFGraph) -> Iterator[List[str]]:
+    """Self-loops as one-actor cycles, then every strong component's
+    elementary circuits; parallel channels count once."""
+    for name in graph.actor_names:
+        if name in graph.successors(name):
+            yield [name]
+    for component in strongly_connected_components(graph):
+        if len(component) < 2:
+            continue
+        index = {name: i for i, name in enumerate(component)}
+        successors = [
+            [index[target] for target in graph.successors(name)
+             if target in index and target != name]
+            for name in component
+        ]
+        for circuit in _circuits(successors):
+            yield [component[i] for i in circuit]
 
 
 def simple_cycles(
@@ -41,12 +124,10 @@ def simple_cycles(
 
     ``limit`` caps the number of enumerated cycles (Johnson's algorithm
     is output-sensitive but the number of cycles can be exponential; the
-    criticality estimate degrades gracefully under a cap).
+    criticality estimate degrades gracefully under a cap).  Cycles are
+    produced lazily, so a cap also stops the search.
     """
-    iterator = nx.simple_cycles(_to_networkx(graph))
-    if limit is not None:
-        iterator = islice(iterator, limit)
-    return [list(cycle) for cycle in iterator]
+    return list(islice(_enumerate(graph), limit))
 
 
 def _min_hop_denominator(graph: SDFGraph, src: str, dst: str) -> Fraction:

@@ -112,7 +112,8 @@ class SandboxVerdict:
 
     ``exit_status`` is the raw :attr:`subprocess.Popen.returncode`
     (negative = killed by that signal, ``None`` = never exited);
-    ``peak_rss_kb`` is the child's last self-reported ``ru_maxrss``;
+    ``peak_rss_kb`` is the child's last self-reported peak resident
+    set (``VmHWM``, or ``ru_maxrss`` where ``/proc`` is missing);
     ``beats`` counts heartbeat lines observed.  ``reason`` is a short
     human-readable sentence for the job record.
     """

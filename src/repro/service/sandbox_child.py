@@ -39,6 +39,8 @@ import sys
 import threading
 from typing import Any, Dict, Optional
 
+from repro.resilience.budget import Budget
+
 
 def _apply_rlimits(limits: Dict[str, Any]) -> None:
     try:
@@ -68,7 +70,64 @@ def _apply_rlimits(limits: Dict[str, Any]) -> None:
         signal.signal(signal.SIGXCPU, _cpu_exceeded)
 
 
+def _status_kb(field: str) -> Optional[int]:
+    """A ``kB`` field of ``/proc/self/status`` (Linux); None elsewhere."""
+    prefix = field.encode() + b":"
+    try:
+        with open("/proc/self/status", "rb") as handle:
+            for line in handle:
+                if line.startswith(prefix):
+                    return int(line.split()[1])
+    except (OSError, ValueError, IndexError):
+        pass
+    return None
+
+
+#: engine states charged between two reads of the address space
+MEMORY_CHECK_STATES = 256
+
+
+class _MemoryCappedBudget(Budget):
+    """A budget that exits with the OOM code at an engine state once the
+    address space comes within an eighth of the ``memory_mb`` cap.
+
+    CPython cannot be trusted to unwind a ``MemoryError`` once small
+    allocations have filled the capped address space: it may lose the
+    exception (a ``SystemError`` exit, read as a crash) or spin in its
+    unwinder until the watchdog reads a stall.  Stopping while there is
+    still room keeps an attempt that outgrows its cap an ``oom``.
+    """
+
+    __slots__ = ("_ceiling_kb", "_since_read")
+
+    def __init__(self, memory_mb: int, **limits: Any) -> None:
+        super().__init__(**limits)
+        self._ceiling_kb = memory_mb * 1024 * 7 // 8
+        self._since_read = 0
+
+    def tick(self, states: int = 1) -> None:
+        super().tick(states)
+        self._since_read += states
+        if self._since_read >= MEMORY_CHECK_STATES:
+            self._since_read = 0
+            size = _status_kb("VmSize")
+            if size is not None and size > self._ceiling_kb:
+                from repro.service.sandbox import EXIT_OOM
+
+                os._exit(EXIT_OOM)
+
+
 def _peak_rss_kb() -> Optional[int]:
+    """This child's own peak resident set.
+
+    ``ru_maxrss`` alone will not do on Linux: it keeps the high-water
+    mark of the image ``exec`` replaced, so a child spawned by a large
+    daemon would report the daemon's peak (and the watchdog would kill
+    it as over its memory cap).  ``VmHWM`` is the child's own.
+    """
+    peak = _status_kb("VmHWM")
+    if peak is not None:
+        return peak
     try:
         import resource
 
@@ -95,33 +154,40 @@ def _heartbeat_loop(
     interval: float,
     budget: Any,
     stop: threading.Event,
+    beating: threading.Event,
     spool_telemetry: Optional[Any] = None,
 ) -> None:
+    """Append one beat line per ``interval`` until ``stop``; set
+    ``beating`` once the first line is written (or the loop dies)."""
     beat = 0
-    while True:
-        line = json.dumps(
-            {
-                "beat": beat,
-                "rss_kb": _peak_rss_kb(),
-                "states": getattr(budget, "states_charged", 0),
-            }
-        )
-        try:
-            with open(path, "a", encoding="utf-8") as handle:
-                handle.write(line + "\n")
-                handle.flush()
-        except OSError:
-            pass
-        if spool_telemetry is not None and beat % TELEMETRY_EVERY_BEATS == 0:
+    try:
+        while True:
+            line = json.dumps(
+                {
+                    "beat": beat,
+                    "rss_kb": _peak_rss_kb(),
+                    "states": getattr(budget, "states_charged", 0),
+                }
+            )
             try:
-                spool_telemetry()
-            except Exception:
-                # telemetry is best-effort; the beat line above is the
-                # liveness signal and must keep flowing regardless
+                with open(path, "a", encoding="utf-8") as handle:
+                    handle.write(line + "\n")
+                    handle.flush()
+            except OSError:
                 pass
-        beat += 1
-        if stop.wait(interval):
-            return
+            beating.set()
+            if spool_telemetry is not None and beat % TELEMETRY_EVERY_BEATS == 0:
+                try:
+                    spool_telemetry()
+                except Exception:
+                    # telemetry is best-effort; the beat line above is the
+                    # liveness signal and must keep flowing regardless
+                    pass
+            beat += 1
+            if stop.wait(interval):
+                return
+    finally:
+        beating.set()  # a dead beater must not hold the attempt back
 
 
 def _write_outcome(path: str, payload: Dict[str, Any]) -> None:
@@ -223,12 +289,16 @@ def main(argv: Optional[list] = None) -> int:
     # under memory pressure the outcome write itself may fail, so exit
     # through the dedicated code and let the parent classify it
     try:
-        from repro.resilience.budget import Budget
-
         budget_spec = spec.get("budget") or {}
-        budget = Budget(
-            deadline=budget_spec.get("deadline"),
-            max_states=budget_spec.get("max_states"),
+        bounds = {
+            "deadline": budget_spec.get("deadline"),
+            "max_states": budget_spec.get("max_states"),
+        }
+        memory_mb = (spec.get("limits") or {}).get("memory_mb")
+        budget = (
+            _MemoryCappedBudget(int(memory_mb), **bounds)
+            if memory_mb
+            else Budget(**bounds)
         )
 
         # Child-local observability: the engines are permanently
@@ -256,6 +326,7 @@ def main(argv: Optional[list] = None) -> int:
                 )
 
         stop = threading.Event()
+        beating = threading.Event()
         beater = threading.Thread(
             target=_heartbeat_loop,
             args=(
@@ -263,6 +334,7 @@ def main(argv: Optional[list] = None) -> int:
                 float(spec.get("heartbeat_interval", 0.25)),
                 budget,
                 stop,
+                beating,
                 spool_telemetry,
             ),
             name="sandbox-heartbeat",
@@ -275,6 +347,9 @@ def main(argv: Optional[list] = None) -> int:
             # RLIMIT_AS that fails before any engine code runs — the
             # same containment outcome as a MemoryError
             os._exit(EXIT_OOM)
+        # the first beat lands before the attempt starts, so even an
+        # attempt of a few milliseconds leaves one for the parent
+        beating.wait()
         try:
             payload = run_attempt(spec, budget)
         finally:

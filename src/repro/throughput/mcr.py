@@ -14,21 +14,23 @@ Two implementations are provided:
 * :func:`max_cycle_ratio_numeric` — Lawler's parametric binary search
   with a numpy-vectorised Bellman-Ford positive-cycle test, then an
   exact rational snap via bounded-denominator approximation.  Scales to
-  the 4754-actor H.263 HSDFG.
+  the 4754-actor H.263 HSDFG.  numpy is imported inside this search and
+  its two helpers only, so importing the package never loads it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from time import perf_counter
-from typing import Optional, Tuple, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Tuple, Union
 
 from repro.obs import get_metrics
 from repro.resilience.budget import Budget
 from repro.sdf.cycles import max_cycle_ratio as _enumerated_max_cycle_ratio
 from repro.sdf.graph import SDFGraph
+
+if TYPE_CHECKING:
+    import numpy as np
 
 Ratio = Union[Fraction, float]
 
@@ -51,6 +53,8 @@ def max_cycle_ratio_exact(hsdf: SDFGraph, limit: Optional[int] = None) -> Option
 
 
 def _edge_arrays(hsdf: SDFGraph) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
+    import numpy as np
+
     index = {name: i for i, name in enumerate(hsdf.actor_names)}
     sources = np.fromiter(
         (index[c.src] for c in hsdf.channels), dtype=np.int64
@@ -78,6 +82,8 @@ def _has_positive_cycle(
     improvement implies a positive cycle.  Distances are clipped to
     avoid float overflow on long graphs.
     """
+    import numpy as np
+
     if node_count == 0 or sources.size == 0:
         return False
     dist = np.zeros(node_count)
@@ -108,6 +114,8 @@ def max_cycle_ratio_numeric(
     bounded by the total token count.  Returns ``None`` when the graph
     is acyclic, ``float('inf')`` when a token-free cycle exists.
     """
+    import numpy as np
+
     obs = get_metrics()
     started = perf_counter() if obs.enabled else 0.0
     sources, targets, times, tokens, node_count = _edge_arrays(hsdf)

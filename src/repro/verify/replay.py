@@ -26,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from repro.verify.certificate import CertificateFormatError, validate_certificate
+from repro.verify.certificate import validate_certificate
 
 #: cap on zero-duration firings at one time instant during replay
 _ZERO_BURST_GUARD = 1_000_000
@@ -90,6 +90,20 @@ def _wire(
     return inputs, outputs
 
 
+def _as_phased(cert: Dict[str, Any]) -> Dict[str, Any]:
+    """A self-timed certificate in phased form: a one-phase one gets one
+    time per actor as a list, next phases 0 and every firing in flight
+    in phase 0."""
+    if "phases" in cert:
+        return cert
+    return dict(
+        cert,
+        execution_times=[[tau] for tau in cert["execution_times"]],
+        phases=[0] * len(cert["actors"]),
+        active_phases=[[0] * len(entry) for entry in cert["active"]],
+    )
+
+
 def replay_self_timed(
     certificate: Dict[str, Any], topology: Mapping[str, Mapping[str, Any]]
 ) -> Dict[str, Any]:
@@ -104,15 +118,9 @@ def replay_self_timed(
     cert = validate_certificate(certificate)
     if cert["kind"] != "self-timed":
         _refute(f"expected a self-timed certificate, got {cert['kind']!r}")
+    cert = _as_phased(cert)
     actors: List[str] = cert["actors"]
     count = len(actors)
-    if "phases" not in cert:  # one phase: every firing runs phase 0
-        cert = dict(
-            cert,
-            execution_times=[[tau] for tau in cert["execution_times"]],
-            phases=[0] * count,
-            active_phases=[[0] * len(entry) for entry in cert["active"]],
-        )
     times: List[List[int]] = cert["execution_times"]
     inputs, outputs = _wire(cert, topology)
     auto: bool = cert["auto_concurrency"]
@@ -225,50 +233,60 @@ def check_window_reachable(
     the actual graph: every linear token invariant (any quantity
     conserved by all firings, e.g. the token sum around a cycle) must
     take the same value in the window state as in the initial token
-    distribution.  Concretely, the window's *effective* token vector —
-    claimed tokens plus the inputs held by in-flight firings — must
-    differ from the initial vector by a rational combination of actor
-    firing effects.  A forged certificate that simply inflates token
+    distribution.  A forged certificate that simply inflates token
     counts on a bounded cycle fails here even though it replays.
 
+    Each actor's firings start in phase order, so the firings it has
+    started are whole cycles of its phases plus phases 0 up to its next
+    phase (``phases``; 0 for one-phase actors and every constrained
+    certificate).  Completing each firing in flight virtually, by adding
+    its phase's production, the window tokens minus the initial tokens
+    and minus the started partial cycles must be a rational combination
+    of the actors' full-cycle effects.  (Rolling in-flight firings back
+    instead would be wrong: they are not always the latest started.)
+
     ``topology`` entries must carry ``tokens`` (the graph's initial
-    tokens) in addition to the endpoint/rate fields.  The check reads
-    one-phase certificates only: a phased one raises
-    :class:`CertificateFormatError`.  Raises :class:`RefutationError`
-    when an invariant is violated.
+    tokens) in addition to the endpoint/rate fields.  Raises
+    :class:`RefutationError` when an invariant is violated.
     """
     cert = validate_certificate(certificate)
-    if "phases" in cert:
-        raise CertificateFormatError(
-            "the window-reachability check reads one-phase certificates only"
-        )
     actors: List[str] = cert["actors"]
     channels: List[str] = cert["channels"]
-
     if cert["kind"] == "self-timed":
-        in_flight = [len(entry) for entry in cert["active"]]
-    else:
-        in_flight = [len(entry) for entry in cert["unscheduled_active"]]
+        cert = _as_phased(cert)
+        in_flight: List[List[int]] = cert["active_phases"]
+        next_phases: List[int] = cert["phases"]
+    else:  # one phase: every firing in flight runs phase 0
+        in_flight = [[0] * len(entry) for entry in cert["unscheduled_active"]]
         for firing in cert["tile_active"]:
             if firing is not None:
-                in_flight[firing[0]] += 1
-
+                in_flight[firing[0]].append(0)
+        next_phases = [0] * len(actors)
     inputs, outputs = _wire(cert, topology)
-    effects = [[Fraction(0)] * len(channels) for _ in actors]
-    effective = [Fraction(tokens) for tokens in cert["tokens"]]
-    for actor in range(len(actors)):
-        for position, rate in outputs[actor][0]:
-            effects[actor][position] += rate
-        for position, rate in inputs[actor][0]:
-            effects[actor][position] -= rate
-            # roll in-flight firings back to their pre-consumption marking
-            effective[position] += rate * in_flight[actor]
     initial = [topology[name].get("tokens") for name in channels]
     for name, tokens in zip(channels, initial):
         if not isinstance(tokens, int) or tokens < 0:
             _refute(f"channel {name!r} has no initial token count")
 
-    # Gaussian elimination: reduce each firing-effect vector, keep the
+    def effect(actor: int, phases: range) -> List[Fraction]:
+        vector = [Fraction(0)] * len(channels)
+        for phase in phases:
+            for position, rate in outputs[actor][phase]:
+                vector[position] += rate
+            for position, rate in inputs[actor][phase]:
+                vector[position] -= rate
+        return vector
+
+    cycles = [effect(a, range(len(outputs[a]))) for a in range(len(actors))]
+    delta = [Fraction(w - i) for w, i in zip(cert["tokens"], initial)]
+    for actor in range(len(actors)):
+        for phase in in_flight[actor]:
+            for position, rate in outputs[actor][phase]:
+                delta[position] += rate
+        started = effect(actor, range(next_phases[actor]))
+        delta = [d - p for d, p in zip(delta, started)]
+
+    # Gaussian elimination: reduce each full-cycle effect, keep the
     # pivots, then reduce the window delta — a non-zero residue means
     # the delta is outside the span, i.e. some invariant changed.
     pivots: List[Tuple[int, List[Fraction]]] = []
@@ -282,16 +300,13 @@ def check_window_reachable(
                 ]
         return vector
 
-    for effect in effects:
-        reduced = reduce(list(effect))
+    for cycle in cycles:
+        reduced = reduce(cycle)
         for column, value in enumerate(reduced):
             if value:
                 pivots.append((column, reduced))
                 break
-    delta = reduce(
-        [window - start for window, start in zip(effective, initial)]
-    )
-    if any(delta):
+    if any(reduce(delta)):
         _refute(
             "window token distribution violates a token invariant of the "
             "graph (unreachable from the initial tokens)"

@@ -3,7 +3,8 @@
 Requests come in two sizes: the paper's running example (fast — the
 engine finishes in milliseconds) and an H.263 decoder scaled up via its
 macroblock count (slow — a second or more of real search, wide enough
-to drain or SIGKILL mid-exploration deterministically).
+to drain or SIGKILL mid-exploration deterministically).  A larger
+decoder is the out-of-memory bait: its attempt outgrows a 64 MB cap.
 """
 
 import copy
@@ -48,6 +49,20 @@ def slow_request(macroblocks=320):
     return (
         application_to_dict(h263_decoder(macroblocks=macroblocks)),
         architecture_to_dict(h263_architecture()),
+    )
+
+
+def oom_request():
+    """A request whose attempt alone outgrows a 64 MB address space.
+
+    The H.263 decoder at 2,000 macroblocks peaks at about 92 MB RSS
+    uncapped, while the interpreter and the whole package take about
+    30 MB, so a ``memory_mb=64`` cap is met by the attempt's own state
+    space and never by start-up.
+    """
+    return (
+        application_to_dict(h263_decoder(macroblocks=2_000)),
+        architecture_to_dict(h263_architecture(memory=8_000_000)),
     )
 
 

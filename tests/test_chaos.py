@@ -40,7 +40,7 @@ from tests.chaos_helpers import (
     export_artifacts,
     submit_with_retry,
 )
-from tests.service_helpers import fast_request, slow_request
+from tests.service_helpers import fast_request, oom_request, slow_request
 
 pytestmark = [pytest.mark.chaos, pytest.mark.service]
 
@@ -88,7 +88,7 @@ def test_chaos_soak_service_promises_hold(tmp_path, seed):
     storm = ChaosStorm(
         service,
         seed=seed,
-        oom_request=fast_request(),
+        oom_request=oom_request(),
         min_events=20,
     )
     accepted = []

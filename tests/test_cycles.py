@@ -1,5 +1,6 @@
 """Unit tests for cycle enumeration and cycle ratios."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -113,3 +114,71 @@ def test_max_cycle_ratio_default_weights(simple_cycle_graph):
 
 def test_max_cycle_ratio_none_when_acyclic():
     assert max_cycle_ratio(chain(["a", "b"])) is None
+
+
+def _random_graph(rng):
+    """A small random digraph: self-loops and parallel channels arise
+    with the random endpoints."""
+    graph = SDFGraph("random")
+    count = rng.randint(1, 7)
+    for i in range(count):
+        graph.add_actor(f"a{i}")
+    for k in range(rng.randint(0, 4 * count)):
+        src, dst = rng.randrange(count), rng.randrange(count)
+        graph.add_channel(f"c{k}", f"a{src}", f"a{dst}", tokens=rng.randint(0, 2))
+    return graph
+
+
+def _canonical(cycle, order):
+    """``cycle`` rotated to start at its earliest actor."""
+    first = min(range(len(cycle)), key=lambda i: order[cycle[i]])
+    return tuple(cycle[first:] + cycle[:first])
+
+
+def _brute_force_cycles(graph):
+    """Every simple cycle by exhaustive path extension: from each actor,
+    every path through later actors that closes back on it."""
+    order = {name: i for i, name in enumerate(graph.actor_names)}
+    found = set()
+
+    def extend(path):
+        for succ in graph.successors(path[-1]):
+            if succ == path[0]:
+                found.add(tuple(path))
+            elif order[succ] > order[path[0]] and succ not in path:
+                extend(path + [succ])
+
+    for name in graph.actor_names:
+        extend([name])
+    return found
+
+
+def test_simple_cycles_match_brute_force_on_seeded_graphs():
+    self_loops = parallel = cycles = 0
+    for seed in range(400):
+        graph = _random_graph(random.Random(seed))
+        order = {name: i for i, name in enumerate(graph.actor_names)}
+        expected = _brute_force_cycles(graph)
+        enumerated = [_canonical(c, order) for c in simple_cycles(graph)]
+        assert len(set(enumerated)) == len(enumerated), seed
+        assert set(enumerated) == expected, seed
+        capped = simple_cycles(graph, limit=len(expected) // 2)
+        assert len(capped) == len(expected) // 2
+        assert {_canonical(c, order) for c in capped} <= expected
+        ends = [(c.src, c.dst) for c in graph.channels]
+        self_loops += any(src == dst for src, dst in ends)
+        parallel += len(set(ends)) < len(ends)
+        cycles += len(expected)
+    assert self_loops >= 300 and parallel >= 200 and cycles >= 1400
+
+
+def test_limit_stops_the_search_early():
+    # the complete digraph on 12 actors has over 10^8 simple cycles
+    graph = SDFGraph("complete")
+    for i in range(12):
+        graph.add_actor(f"a{i}")
+    for i in range(12):
+        for j in range(12):
+            if i != j:
+                graph.add_channel(f"c{i}_{j}", f"a{i}", f"a{j}", tokens=1)
+    assert len(simple_cycles(graph, limit=1000)) == 1000

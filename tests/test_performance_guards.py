@@ -7,7 +7,12 @@ are ~10x above currently observed values so normal machine variance
 never trips them.
 """
 
+import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -71,6 +76,41 @@ def test_example_allocation_stays_fast():
     elapsed = time.perf_counter() - started
     assert allocation.satisfied
     assert elapsed < 5.0
+
+
+_LEAN_IMPORT_PROBE = """
+import json, sys
+import repro, repro.cli, repro.service.sandbox_child
+loaded = sorted(name for name in ("numpy", "networkx") if name in sys.modules)
+from repro.sdf.graph import SDFGraph
+from repro.throughput.mcr import max_cycle_ratio_numeric
+loop = SDFGraph("loop")
+loop.add_actor("a", 3)
+loop.add_channel("s", "a", "a", tokens=2)
+ratio = max_cycle_ratio_numeric(loop)
+print(json.dumps([loaded, str(ratio), "numpy" in sys.modules]))
+"""
+
+
+def test_import_loads_neither_numpy_nor_networkx():
+    """Every run and every sandboxed child imports the package; numpy
+    loads only when the Lawler baseline runs, and networkx never."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    existing = env.get("PYTHONPATH")
+    env["PYTHONPATH"] = f"{src}{os.pathsep}{existing}" if existing else src
+    completed = subprocess.run(
+        [sys.executable, "-c", _LEAN_IMPORT_PROBE],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    loaded, ratio, numpy_after = json.loads(completed.stdout)
+    assert loaded == []
+    assert ratio == "3/2"
+    assert numpy_after
 
 
 class _CountingMetrics:

@@ -32,7 +32,7 @@ from repro.service.sandbox import (
 )
 from repro.service.watchdog import HEALTH_DEGRADED, HEALTH_OK, Watchdog
 
-from tests.service_helpers import fast_request, slow_request
+from tests.service_helpers import fast_request, oom_request, slow_request
 
 pytestmark = pytest.mark.service
 
@@ -244,27 +244,16 @@ def test_sandboxed_attempt_completes_with_verdict(tmp_path):
         service.drain(cancel_running=True)
 
 
-def _generated_requests(seeds):
-    """Seeded applications of the greedy-vs-exact harness on its 1x2
-    and 1x3 meshes, as request dicts."""
-    from random import Random
-
+def _generated_requests(profile, seeds):
+    """Seeded applications of a greedy-vs-exact harness ``profile`` on
+    its 1x2 and 1x3 meshes, as request dicts."""
     from repro.appmodel.serialization import application_to_dict
     from repro.arch.serialization import architecture_to_dict
-    from repro.generate.benchmark import generate_application
-    from tests.test_differential_allocation import (
-        SMALL_PROFILE,
-        TYPES,
-        _architecture,
-    )
+    from tests.test_differential_allocation import _application, _architecture
 
     return [
         (
-            application_to_dict(
-                generate_application(
-                    SMALL_PROFILE, TYPES, Random(seed), name=f"gen-{seed}"
-                )
-            ),
+            application_to_dict(_application(profile, seed)),
             architecture_to_dict(_architecture(seed)),
         )
         for seed in seeds
@@ -274,8 +263,15 @@ def _generated_requests(seeds):
 @pytest.mark.parametrize("backend", ["greedy", "exact"])
 def test_thread_and_process_isolation_agree(tmp_path, backend):
     """Both isolation modes run one pipeline, so they give one answer:
-    on fig. 5 and on three generated applications."""
-    requests = [fast_request(), *_generated_requests([0, 1, 2])]
+    on fig. 5 and on three small and three heavy generated
+    applications."""
+    from tests.test_differential_allocation import HEAVY_PROFILE, SMALL_PROFILE
+
+    requests = [
+        fast_request(),
+        *_generated_requests(SMALL_PROFILE, [0, 1, 2]),
+        *_generated_requests(HEAVY_PROFILE, [60, 61, 62]),
+    ]
     records = {}
     for isolation in ("thread", "process"):
         service = _service(
@@ -303,7 +299,7 @@ def test_unknown_backend_is_rejected(tmp_path):
 def test_oom_child_quarantines_with_oom_verdict(tmp_path):
     service = _service(tmp_path)
     try:
-        application, architecture = fast_request()
+        application, architecture = oom_request()
         record = service.wait(
             service.submit(application, architecture, memory_mb=64),
             timeout=120,
@@ -313,12 +309,34 @@ def test_oom_child_quarantines_with_oom_verdict(tmp_path):
         assert record["sandbox_verdict"]["kind"] == "oom"
         assert record["sandbox_verdict"]["exit_status"] == EXIT_OOM
         # the daemon survived: a clean job still completes afterwards
+        application, architecture = fast_request()
         healthy = service.wait(
             service.submit(application, architecture), timeout=120
         )
         assert healthy["state"] == "certified"
     finally:
         service.drain(cancel_running=True)
+
+
+def test_capped_child_reports_its_own_peak_rss(tmp_path):
+    """A child exec'd by a large daemon inherits the daemon's
+    ``ru_maxrss``; were that its report, the watchdog would kill every
+    capped child of a large daemon as over its memory cap."""
+    ballast = bytearray(b"\1") * (96 * 1024 * 1024)  # resident, not just mapped
+    service = _service(tmp_path)
+    try:
+        application, architecture = fast_request()
+        record = service.wait(
+            service.submit(application, architecture, memory_mb=64),
+            timeout=120,
+        )
+        assert record["state"] == "certified"
+        verdict = record["sandbox_verdict"]
+        assert verdict["kind"] == "completed"
+        assert 0 < verdict["peak_rss_kb"] < 64 * 1024
+    finally:
+        service.drain(cancel_running=True)
+        del ballast
 
 
 @pytest.mark.slow
@@ -379,7 +397,7 @@ def test_quarantine_storm_degrades_health(tmp_path):
         crash_loop_threshold=2,
     )
     try:
-        application, architecture = fast_request()
+        application, architecture = oom_request()
         assert service.stats()["health"] == HEALTH_OK
         for _ in range(2):
             record = service.wait(

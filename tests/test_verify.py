@@ -412,11 +412,34 @@ def test_replay_refutes_tampered_phased_certificates(tamper):
         assert refuted >= 10
 
 
-def test_reachability_check_rejects_phased_certificates():
-    graph = _two_phase_ring()
-    (certificate,) = throughput(graph).certificates.values()
-    with pytest.raises(CertificateFormatError, match="one-phase"):
-        check_window_reachable(certificate, _phased_topology(graph))
+def test_reachability_check_accepts_genuine_phased_certificates():
+    checked = 0
+    for graph, _, _, certificate in _phased_cases():
+        check_window_reachable(
+            json.loads(json.dumps(certificate)), _phased_topology(graph)
+        )
+        checked += 1
+    assert checked >= 20
+
+
+def test_reachability_check_refutes_surplus_tokens_on_phased_certificates():
+    # a surplus token that no firing needs recurs, so replay alone
+    # accepts it on many phased windows; the token invariants do not
+    replayed = {}
+    for graph, _, _, certificate in _phased_cases():
+        topology = _phased_topology(graph)
+        for position in range(len(certificate["tokens"])):
+            forged = copy.deepcopy(certificate)
+            forged["tokens"][position] += 1
+            try:
+                replay_certificate(forged, topology)
+            except RefutationError:
+                continue
+            replayed[graph.name] = replayed.get(graph.name, 0) + 1
+            with pytest.raises(RefutationError, match="token invariant"):
+                check_window_reachable(forged, topology)
+    assert replayed.get(_stereo_filter().name, 0) >= 1
+    assert sum(replayed.values()) >= 20
 
 
 # -- observability ----------------------------------------------------------
