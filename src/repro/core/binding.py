@@ -61,7 +61,6 @@ def bind_application(
     architecture: ArchitectureGraph,
     weights: CostWeights,
     optimise: bool = True,
-    cycle_limit: Optional[int] = 20000,
     budget: Optional[Budget] = None,
 ) -> Binding:
     """Bind every actor of ``application`` to a tile (Section 9.1).
@@ -73,7 +72,7 @@ def bind_application(
     """
     application.check_complete()
     obs = get_metrics()
-    order = binding_order(application, cycle_limit=cycle_limit)
+    order = binding_order(application)
     ledger = TileLedger(application, architecture)
     retries = 0
 

@@ -18,23 +18,25 @@ give, since a cycle adds the other actors' work).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Union
 
 from repro.appmodel.application import ApplicationGraph
 from repro.sdf.cycles import per_actor_max_cycle_ratio
 
 Criticality = Union[Fraction, float]
 
+#: cap on the simple cycles enumerated per application (dense graphs)
+CYCLE_LIMIT = 20000
+
 
 def actor_criticality(
     application: ApplicationGraph,
-    cycle_limit: Optional[int] = 20000,
 ) -> Dict[str, Criticality]:
     """Eqn. 1 cost for every actor of ``application``.
 
     ``float('inf')`` marks actors on a token-free cycle (a modelling
     error that would deadlock; they bind first so the failure surfaces
-    early).  ``cycle_limit`` caps cycle enumeration on dense graphs.
+    early).  At most :data:`CYCLE_LIMIT` cycles are enumerated.
     """
     gamma = application.gamma
     weights = {
@@ -43,7 +45,7 @@ def actor_criticality(
         for name in application.graph.actor_names
     }
     on_cycles = per_actor_max_cycle_ratio(
-        application.graph, weights, limit=cycle_limit
+        application.graph, weights, limit=CYCLE_LIMIT
     )
     result: Dict[str, Criticality] = {}
     for name in application.graph.actor_names:
@@ -51,11 +53,8 @@ def actor_criticality(
     return result
 
 
-def binding_order(
-    application: ApplicationGraph,
-    cycle_limit: Optional[int] = 20000,
-) -> List[str]:
+def binding_order(application: ApplicationGraph) -> List[str]:
     """Actors sorted by decreasing criticality (stable: ties keep graph order)."""
-    cost = actor_criticality(application, cycle_limit=cycle_limit)
+    cost = actor_criticality(application)
     names = application.graph.actor_names
     return sorted(names, key=lambda a: (-cost[a], names.index(a)))

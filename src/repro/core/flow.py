@@ -20,7 +20,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
+from typing import Any, Dict, Iterable, List, Optional, Union
 
 from repro.appmodel.application import ApplicationGraph
 from repro.appmodel.binding import Allocation
@@ -30,7 +30,7 @@ from repro.core.tile_cost import CostWeights
 from repro.obs import get_metrics
 from repro.obs.trace import get_trace
 from repro.resilience.budget import Budget, BudgetExceededError
-from repro.resilience.policy import DEFAULT_LADDER, Rung, resilient_allocate
+from repro.resilience.policy import resilient_allocate
 
 
 @dataclass
@@ -114,7 +114,6 @@ def allocate_until_failure(
     continue_after_failure: bool = False,
     budget: Optional[Budget] = None,
     degrade: bool = False,
-    ladder: Sequence[Rung] = DEFAULT_LADDER,
     checkpoint_path: Optional[str] = None,
     resume: Optional[Union[str, Dict[str, Any]]] = None,
     preflight: bool = True,
@@ -130,11 +129,13 @@ def allocate_until_failure(
     A ``budget`` is shared by the whole run.  With ``degrade=False`` an
     exhausted budget records a ``"budget-exhausted"`` outcome (treated
     like a failure for the stopping rule); with ``degrade=True`` each
-    application descends ``ladder`` instead, so a tight deadline yields
-    conservative-but-complete allocations (``"degraded"`` outcomes)
-    rather than a truncated flow.  An unexpected exception from one
-    application — a bug, a malformed graph, an injected fault — is
-    recorded as ``"error"`` and isolated from the other applications.
+    application descends the degradation ladder of
+    :func:`~repro.resilience.policy.resilient_allocate` instead, so a
+    tight deadline yields conservative-but-complete allocations
+    (``"degraded"`` outcomes) rather than a truncated flow.  An
+    unexpected exception from one application — a bug, a malformed
+    graph, an injected fault — is recorded as ``"error"`` and isolated
+    from the other applications.
 
     With ``checkpoint_path`` set the flow is crash-safe: after every
     successful commit a flow checkpoint (kind ``"flow"``, the committed
@@ -276,7 +277,6 @@ def allocate_until_failure(
                         architecture,
                         allocator=allocator,
                         budget=budget,
-                        ladder=ladder,
                         checkpoint_path=app_checkpoint,
                         preflight=False,
                     )

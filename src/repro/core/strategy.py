@@ -56,27 +56,18 @@ class ResourceAllocator:
     paper's three-step heuristic, the default) or ``"exact"`` (the
     :mod:`repro.exact` branch-and-bound search, which returns the
     provably cheapest feasible allocation at combinatorial cost — see
-    ``docs/EXACT.md``).  The exact backend honours ``weights``,
-    ``cycle_limit`` and ``max_states``; the greedy-only knobs
-    (``relaxation``, ``optimise_binding``, ``refine_slices``,
-    ``trim_buffers``) do not apply to it, and ``slice_step`` coarsens
-    only the exact backend's slice grid.
+    ``docs/EXACT.md``).  The exact backend honours ``weights`` and
+    ``max_states``; the greedy-only knobs (``relaxation``,
+    ``optimise_binding``, ``refine_slices``) do not apply to it.
     """
 
     weights: CostWeights = CostWeights(1, 1, 1)
     relaxation: float = 0.1
     optimise_binding: bool = True
     refine_slices: bool = True
-    #: optional 4th step: shrink channel buffers after slice allocation
-    #: while the throughput guarantee holds (ref [21] style); reduces
-    #: the committed memory so later applications fit more easily
-    trim_buffers: bool = False
-    cycle_limit: Optional[int] = 20000
     max_states: int = DEFAULT_MAX_STATES
     #: strategy implementation: "greedy" or "exact"
     backend: str = "greedy"
-    #: slice-grid granularity of the exact backend (1 = every width)
-    slice_step: int = 1
 
     def allocate(
         self,
@@ -120,7 +111,6 @@ class ResourceAllocator:
                             architecture,
                             self.weights,
                             optimise=self.optimise_binding,
-                            cycle_limit=self.cycle_limit,
                             budget=budget,
                         )
                 else:
@@ -178,23 +168,6 @@ class ResourceAllocator:
 
             achieved = slice_result.achieved_throughput
             checks = slice_result.throughput_checks
-            certificate = slice_result.certificate
-            if self.trim_buffers:
-                # deferred import: extensions sit above core in the layering
-                from repro.extensions.buffer_sizing import minimise_buffers
-
-                with obs.timer("allocate.trim_buffers"):
-                    sizing = minimise_buffers(
-                        application,
-                        architecture,
-                        binding,
-                        scheduling,
-                        max_states=self.max_states,
-                    )
-                achieved = sizing.achieved_throughput
-                checks += sizing.throughput_checks
-                certificate = sizing.certificate
-
             reservation = reservation_for(
                 application, architecture, binding, slice_result.slices
             )
@@ -212,7 +185,7 @@ class ResourceAllocator:
                 reservation=reservation,
                 achieved_throughput=achieved,
                 throughput_checks=checks,
-                certificate=certificate,
+                certificate=slice_result.certificate,
             )
 
     def _allocate_exact(
@@ -239,8 +212,6 @@ class ResourceAllocator:
                 architecture,
                 weights=self.weights,
                 binding=binding,
-                slice_step=self.slice_step,
-                cycle_limit=self.cycle_limit,
                 max_states=self.max_states,
                 budget=budget,
             )

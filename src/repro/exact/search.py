@@ -30,7 +30,7 @@ Shape of the search:
    computed at most once and handed down to its leaf.
 2. **Leaves.**  A complete binding gets its §9.2 static orders, then a
    depth-first search over per-tile slice widths on the grid
-   ``{step, 2*step, ..., wheel_remaining}``.  Throughput is monotone
+   ``{1, 2, ..., wheel_remaining}``.  Throughput is monotone
    non-decreasing in every slice width, so (i) if even the full
    remaining wheels miss the constraint the leaf is dead, (ii) per
    prefix the minimal width that works "with everything after it at
@@ -44,18 +44,17 @@ Shape of the search:
    (:class:`~repro.core.slices.SliceFloors`), which fails the probe
    without exploring it.
 
-With ``slice_step=1`` the slice grid is a superset of anything the
-greedy binary search can return, hence for any binding both backends
-agree on feasibility and the exact cost lower-bounds the greedy cost.
+The slice grid is a superset of anything the greedy binary search can
+return, hence for any binding both backends agree on feasibility and
+the exact cost lower-bounds the greedy cost.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
-from repro.analysis.bounds import static_throughput_bound
 from repro.appmodel.application import ApplicationGraph
 from repro.appmodel.binding import Allocation, Binding, SchedulingFunction
 from repro.appmodel.binding_aware import (
@@ -144,20 +143,11 @@ class _SliceOutcome:
     certificate: Optional[Dict[str, Any]]
 
 
-def _slice_grid(remaining: int, step: int) -> List[int]:
-    """Ascending candidate widths: multiples of ``step`` plus the cap."""
-    widths = list(range(step, remaining + 1, step))
-    if not widths or widths[-1] != remaining:
-        widths.append(remaining)
-    return widths
-
-
 def _search_slices(
     bag: BindingAwareGraph,
     schedules: Dict[str, Any],
     base_cost: Fraction,
     incumbent_cost: Optional[Fraction],
-    slice_step: int,
     max_states: int,
     budget: Optional[Budget],
     stats: _Stats,
@@ -179,9 +169,6 @@ def _search_slices(
     if any(value < 1 for value in remaining.values()):
         return None
     wheels = {name: bag.architecture.tile(name).wheel for name in names}
-    grids = {
-        name: _slice_grid(remaining[name], slice_step) for name in names
-    }
 
     obs = get_metrics()
     scheduling = SchedulingFunction()
@@ -241,7 +228,7 @@ def _search_slices(
     def minimal_tail(start: int) -> Fraction:
         total = Fraction(0)
         for j in range(start, len(names)):
-            total += Fraction(grids[names[j]][0], wheels[names[j]])
+            total += Fraction(1, wheels[names[j]])
         return total
 
     def extend(
@@ -251,7 +238,6 @@ def _search_slices(
         if budget is not None:
             budget.checkpoint()
         name = names[index]
-        grid = grids[name]
         last = index == len(names) - 1
 
         def feasible_with_max_rest(width: int) -> bool:
@@ -262,22 +248,21 @@ def _search_slices(
             rate, _ = evaluate(candidate)
             return rate is not None and rate >= constraint
 
-        # smallest width on the grid that can still reach the
-        # constraint when every later tile takes its whole wheel;
-        # anything below it is infeasible for *every* completion
-        low, high = 0, len(grid) - 1
-        if not feasible_with_max_rest(grid[high]):
+        # smallest width that can still reach the constraint when every
+        # later tile takes its whole wheel; anything below it is
+        # infeasible for *every* completion
+        low, high = 1, remaining[name]
+        if not feasible_with_max_rest(high):
             return
         while low < high:
             mid = (low + high) // 2
-            if feasible_with_max_rest(grid[mid]):
+            if feasible_with_max_rest(mid):
                 high = mid
             else:
                 low = mid + 1
 
         tail = minimal_tail(index + 1)
-        for position in range(low, len(grid)):
-            width = grid[position]
+        for width in range(low, remaining[name] + 1):
             cost = prefix_cost + Fraction(width, wheels[name])
             known = best_known()
             if known is not None and cost + tail >= known:
@@ -302,9 +287,7 @@ def exact_search(
     architecture: ArchitectureGraph,
     weights: Optional[CostWeights] = None,
     binding: Optional[Binding] = None,
-    slice_step: int = 1,
     prune: bool = True,
-    cycle_limit: Optional[int] = 20000,
     max_states: int = DEFAULT_MAX_STATES,
     budget: Optional[Budget] = None,
 ) -> ExactSearchResult:
@@ -314,9 +297,10 @@ def exact_search(
     non-negative (the admissible cost bound relies on monotone loads).
     A pre-computed (possibly partial) ``binding`` fixes those actors
     and branches only over the rest; one that already violates a
-    Section 7 constraint is proved infeasible.  ``slice_step`` coarsens
-    the slice grid; with the default of 1 the grid dominates everything
-    the greedy search can return.  ``prune=False`` disables the relaxation
+    Section 7 constraint, or whose root throughput bound misses the
+    constraint, is proved infeasible.  The slice grid holds every width
+    up to each tile's remaining wheel, so it dominates everything the
+    greedy search can return.  ``prune=False`` disables the relaxation
     prunes (exhaustive enumeration — the property-test oracle).
 
     The search is deterministic: identical inputs yield the identical
@@ -325,8 +309,6 @@ def exact_search(
     exhaustion the raised :class:`BudgetExceededError` carries the
     incumbent so far under ``error.partial["exact"]``.
     """
-    if slice_step < 1:
-        raise ValueError("slice_step must be >= 1")
     weights = weights if weights is not None else CostWeights.default()
     if min(weights.as_tuple()) < 0:
         raise ValueError(
@@ -348,7 +330,7 @@ def exact_search(
     fixed = binding if binding is not None else Binding()
     order = [
         actor
-        for actor in binding_order(application, cycle_limit=cycle_limit)
+        for actor in binding_order(application)
         if not fixed.is_bound(actor)
     ]
 
@@ -408,27 +390,25 @@ def exact_search(
         )
 
     with obs.span("exact.search", application=application.name) as span:
-        # static pre-gate: a constraint above the binding-independent
-        # bound needs no search at all (mirrors the pre-flight gate)
-        gate = static_throughput_bound(application, architecture)
-        if gate is not None and gate < constraint:
+        # the fixed actors are the root node; demands only grow and the
+        # bound only falls as the binding is extended, so a root whose
+        # bound misses the constraint, or that violates §7, has no
+        # feasible leaf (unfixed, the bound is static_throughput_bound)
+        ledger = TileLedger(application, architecture, fixed)
+        bound = ThroughputBound(application, architecture)
+        root = bound.of(ledger)
+        if root is not None and root < constraint:
             if obs.enabled:
                 obs.counter("exact.static_rejections")
             return finish(span)
-        # the fixed actors are the root node: all demands only grow as
-        # the binding is extended, so a violated root has no feasible leaf
-        ledger = TileLedger(application, architecture, fixed)
         if ledger_violations(ledger):
             stats.rejected += 1
             return finish(span)
-        bound = ThroughputBound(application, architecture)
         fractions = weight_fractions(weights)
-        # every used tile will pay at least one grid width of slice
+        # every used tile (one with wheel left, or the node is rejected)
+        # will pay at least one slot of its wheel
         minimal_slice = {
-            tile.name: Fraction(
-                max(0, min(slice_step, tile.wheel_remaining)), tile.wheel
-            )
-            for tile in architecture.tiles
+            tile.name: Fraction(1, tile.wheel) for tile in architecture.tiles
         }
 
         def admissible() -> Tuple[bool, Optional[Fraction]]:
@@ -469,7 +449,6 @@ def exact_search(
                     schedules,
                     base,
                     incumbent.cost if incumbent is not None else None,
-                    slice_step,
                     max_states,
                     budget,
                     stats,

@@ -11,8 +11,9 @@ allocations, and in the limit the conservative TDMA model of reference
 that never over-promises, at the cost of claiming whole remaining time
 wheels.
 
-:func:`resilient_allocate` walks such a ladder of rungs, retrying with
-progressively cheaper knobs and falling back to the TDMA baseline last.
+:func:`resilient_allocate` walks one such ladder, :data:`DEFAULT_LADDER`,
+retrying with progressively cheaper knobs and falling back to the TDMA
+baseline last.
 Every accepted rung yields a *valid* allocation — its guaranteed
 throughput meets the application's constraint — only resource
 efficiency degrades.  Genuine infeasibility (binding impossible,
@@ -23,7 +24,7 @@ re-raises immediately instead of descending the ladder.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from repro.appmodel.application import ApplicationGraph
 from repro.appmodel.binding import Allocation, SchedulingFunction
@@ -129,7 +130,6 @@ def tdma_baseline_allocate(
             architecture,
             allocator.weights,
             optimise=False,
-            cycle_limit=allocator.cycle_limit,
         )
         bag = build_binding_aware_graph(application, architecture, binding)
         slices = {
@@ -187,11 +187,10 @@ def resilient_allocate(
     architecture: ArchitectureGraph,
     allocator: Optional[ResourceAllocator] = None,
     budget: Optional[Budget] = None,
-    ladder: Sequence[Rung] = DEFAULT_LADDER,
     checkpoint_path: Optional[str] = None,
     preflight: bool = True,
 ) -> ResilientResult:
-    """Allocate ``application``, degrading through ``ladder`` on trouble.
+    """Allocate ``application``, degrading through :data:`DEFAULT_LADDER`.
 
     With ``preflight=True`` (default) the static analyser
     (:func:`repro.analysis.preflight_check`) runs first; an
@@ -206,9 +205,9 @@ def resilient_allocate(
     itself has expired, intermediate rungs are skipped and the ladder
     jumps straight to the budget-exempt baseline rung.  Non-degradable
     :class:`AllocationError` causes and unexpected exceptions propagate
-    immediately.  Raises the last rung's error when the whole ladder
-    fails (no baseline rung, or the baseline itself is infeasible), and
-    :class:`ValueError` for an empty ladder.
+    immediately.  The ladder ends with the baseline rung, so it only
+    fails with the baseline's :class:`AllocationError` (even the whole
+    remaining wheels miss the constraint).
 
     With ``checkpoint_path`` set, a rung that exhausts its budget
     mid-exploration persists the exploration frontier the error carries
@@ -221,8 +220,6 @@ def resilient_allocate(
     to stop, so the frontier is checkpointed and the error re-raised —
     the ladder never descends to the baseline over a cancellation.
     """
-    if not ladder:
-        raise ValueError("degradation ladder is empty")
     if preflight:
         from repro.analysis.engine import preflight_check
 
@@ -243,26 +240,28 @@ def resilient_allocate(
     obs = get_metrics()
     tr = get_trace()
     attempts: List[Tuple[str, str]] = []
-    for position, rung in enumerate(ladder):
-        if rung.baseline:
-            allocation = tdma_baseline_allocate(
-                application, architecture, allocator
+
+    def accept(
+        allocation: Allocation, rung: Rung, position: int
+    ) -> ResilientResult:
+        if obs.enabled and attempts:
+            obs.counter("resilience.degraded")
+            obs.gauge("resilience.rung", position)
+        if tr.enabled:
+            tr.instant(
+                "resilience",
+                "rung.accepted",
+                application=application.name,
+                rung=rung.name,
+                position=position,
+                degraded=bool(attempts),
             )
-            if obs.enabled and attempts:
-                obs.counter("resilience.degraded")
-                obs.gauge("resilience.rung", position)
-            if tr.enabled:
-                tr.instant(
-                    "resilience",
-                    "rung.accepted",
-                    application=application.name,
-                    rung=rung.name,
-                    position=position,
-                    degraded=bool(attempts),
-                )
-            return ResilientResult(
-                allocation=allocation, rung=rung.name, attempts=attempts
-            )
+        return ResilientResult(
+            allocation=allocation, rung=rung.name, attempts=attempts
+        )
+
+    *strategies, baseline = DEFAULT_LADDER
+    for position, rung in enumerate(strategies):
         if budget is not None and budget.expired():
             attempts.append((rung.name, "deadline already expired"))
             if tr.enabled:
@@ -326,24 +325,10 @@ def resilient_allocate(
                     reason="state-space explosion",
                 )
             continue
-        if obs.enabled and attempts:
-            obs.counter("resilience.degraded")
-            obs.gauge("resilience.rung", position)
-        if tr.enabled:
-            tr.instant(
-                "resilience",
-                "rung.accepted",
-                application=application.name,
-                rung=rung.name,
-                position=position,
-                degraded=bool(attempts),
-            )
-        return ResilientResult(
-            allocation=allocation, rung=rung.name, attempts=attempts
-        )
-    raise BudgetExceededError(
-        f"every ladder rung gave up for {application.name!r}",
-        reason="deadline",
-        elapsed=budget.elapsed() if budget is not None else 0.0,
-        partial={"attempts": attempts},
+        return accept(allocation, rung, position)
+    # the budget-exempt floor: it must be allowed to finish
+    return accept(
+        tdma_baseline_allocate(application, architecture, allocator),
+        baseline,
+        len(strategies),
     )

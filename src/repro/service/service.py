@@ -80,7 +80,6 @@ from repro.resilience.faults import InjectedFaultError, fault_point
 from repro.sdf.serialization import SerializationError
 from repro.service.cache import ResultCache
 from repro.service.sandbox import SandboxFailure, run_sandboxed
-from repro.service.sandbox_child import run_attempt
 from repro.service.watchdog import CrashLoopDetector, Watchdog
 from repro.service.canonical import (
     CanonicalRequest,
@@ -774,6 +773,10 @@ class AllocationService:
                 telemetry=self.telemetry,
             )
         else:
+            # deferred: imported with the package, the child module
+            # would run twice under ``python -m`` (once as __main__)
+            from repro.service.sandbox_child import run_attempt
+
             payload = run_attempt(spec, budget)
         if not payload.get("ok"):
             kind = payload.get("error")

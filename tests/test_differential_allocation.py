@@ -10,8 +10,9 @@ architecture state).  Every exact allocation's certificate must replay
 as ``certified`` by :mod:`repro.verify` after a JSON round trip — the
 exact backend earns no trust the greedy path does not.
 
-The sound invariant is one-directional.  Exact's slice grid with
-``slice_step=1`` dominates everything the greedy search can return, so
+The sound invariant is one-directional.  Exact's slice grid holds
+every width up to each tile's free wheel, which dominates everything
+the greedy search can return, so
 
 * greedy feasible but exact infeasible is a soundness bug (the search
   pruned a feasible region, or its leaf evaluation diverges from the

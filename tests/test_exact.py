@@ -10,6 +10,7 @@ injection) and the CLI flag.
 
 import json
 from fractions import Fraction
+from random import Random
 
 import pytest
 
@@ -159,7 +160,7 @@ def test_infeasible_constraint_is_proven():
     result = exact_search(application, architecture, weights=WEIGHTS)
     assert not result.feasible
     assert result.cost is None
-    # the static pre-gate rejects before any branching
+    # the root throughput bound rejects before any branching
     assert result.nodes_explored == 0
     with pytest.raises(AllocationError, match="proved the constraint"):
         ResourceAllocator(weights=WEIGHTS, backend="exact").allocate(
@@ -169,13 +170,75 @@ def test_infeasible_constraint_is_proven():
 
 def test_infeasible_past_static_gate_is_proven_by_search():
     application, architecture, _ = paper_example()
-    # 1/3 clears the static pre-gate (the serialisation bound is 1/2)
-    # but no actual allocation reaches it: the search must branch and
+    # 1/3 clears the root bound (the serialisation bound is 1/2) but
+    # no actual allocation reaches it: the search must branch and
     # exhaust the tree to prove infeasibility
     application.throughput_constraint = Fraction(1, 3)
     result = exact_search(application, architecture, weights=WEIGHTS)
     assert not result.feasible
     assert result.nodes_explored > 0
+
+
+def test_fixed_binding_below_its_root_bound_stops_at_the_root():
+    # 1/3 clears the static bound (1/2), but a1 and a2 sharing t2 cap
+    # every completion at 1/11: the root bound is read on the fixed
+    # binding's ledger, so no actor is branched on
+    application, architecture, _ = paper_example()
+    application.throughput_constraint = Fraction(1, 3)
+    binding = Binding({"a1": "t2", "a2": "t2"})
+    with collecting() as metrics:
+        result = exact_search(
+            application, architecture, weights=WEIGHTS, binding=binding
+        )
+    assert not result.feasible
+    assert result.nodes_explored == 0
+    assert metrics.snapshot()["counters"]["exact.static_rejections"] == 1
+
+
+def test_root_bound_of_an_empty_binding_is_the_static_bound():
+    """The search's one root check replaced a ``static_throughput_bound``
+    gate: with nothing fixed the two bounds agree, on the four benchmark
+    sets on the three §10.1 meshes and the differential harness's small
+    and heavy profiles."""
+    from repro.analysis.bounds import static_throughput_bound
+    from repro.arch.presets import benchmark_architectures
+    from repro.core.tile_cost import TileLedger
+    from repro.exact.bounds import ThroughputBound
+    from repro.generate.benchmark import (
+        SET_PROFILES,
+        generate_application,
+        generate_benchmark_set,
+    )
+    from tests.test_differential_allocation import (
+        HEAVY_PROFILE,
+        SMALL_PROFILE,
+        TYPES,
+        _architecture,
+    )
+
+    cases = []
+    meshes = benchmark_architectures()
+    types = meshes[0].processor_types()
+    for set_name in [*SET_PROFILES, "mixed"]:
+        for seed in range(3):
+            for application in generate_benchmark_set(
+                set_name, 6, types, seed=seed
+            ):
+                cases.extend((application, mesh) for mesh in meshes)
+    for profile in (SMALL_PROFILE, HEAVY_PROFILE):
+        for seed in range(80):
+            application = generate_application(
+                profile, TYPES, Random(seed), name=f"{profile.name}-{seed}"
+            )
+            cases.append((application, _architecture(seed)))
+    assert len(cases) == 376
+    for application, architecture in cases:
+        root = ThroughputBound(application, architecture).of(
+            TileLedger(application, architecture)
+        )
+        assert root == static_throughput_bound(
+            application, architecture
+        ), application.name
 
 
 # -- input validation ------------------------------------------------------
@@ -187,27 +250,6 @@ def test_negative_weights_are_rejected():
         exact_search(
             application, architecture, weights=CostWeights(-1.0, 1.0, 1.0)
         )
-
-
-def test_bad_slice_step_is_rejected():
-    application, architecture, _ = paper_example()
-    with pytest.raises(ValueError, match="slice_step"):
-        exact_search(application, architecture, slice_step=0)
-
-
-def test_coarser_slice_grid_still_allocates():
-    application, architecture, _ = paper_example()
-    fine = exact_search(application, architecture, weights=WEIGHTS)
-    coarse = exact_search(
-        application, architecture, weights=WEIGHTS, slice_step=3
-    )
-    assert coarse.feasible
-    # every coarse slice is a grid point: a step multiple or the cap
-    for tile, width in coarse.allocation.scheduling.slices.items():
-        remaining = architecture.tile(tile).wheel_remaining
-        assert width % 3 == 0 or width == remaining
-    # a coarser grid can only do as well or worse
-    assert coarse.cost >= fine.cost
 
 
 # -- platform layers -------------------------------------------------------

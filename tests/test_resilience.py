@@ -28,7 +28,6 @@ from repro.core.strategy import AllocationError, ResourceAllocator
 from repro.resilience import Budget, BudgetExceededError
 from repro.resilience.policy import (
     DEFAULT_LADDER,
-    Rung,
     resilient_allocate,
     tdma_baseline_allocate,
 )
@@ -227,24 +226,6 @@ def test_genuine_infeasibility_is_not_masked():
     architecture = paper_example_architecture()
     with pytest.raises(AllocationError):
         resilient_allocate(application, architecture)
-
-
-def test_empty_ladder_rejected():
-    application, architecture, _ = paper_example()
-    with pytest.raises(ValueError):
-        resilient_allocate(application, architecture, ladder=())
-
-
-def test_ladder_without_baseline_raises_budget_error():
-    application, architecture, _ = paper_example()
-    with pytest.raises(BudgetExceededError) as info:
-        resilient_allocate(
-            application,
-            architecture,
-            budget=Budget(deadline=0.0),
-            ladder=(Rung(name="exact"),),
-        )
-    assert info.value.partial["attempts"]
 
 
 # -- hardened flow --------------------------------------------------------

@@ -12,6 +12,8 @@ really spin and really get SIGKILLed.
 
 import os
 import signal
+import subprocess
+import sys
 import time
 
 import pytest
@@ -27,7 +29,9 @@ from repro.service import (
 from repro.service.sandbox import (
     EXIT_CPU,
     EXIT_OOM,
+    EXIT_SPEC,
     SandboxHandle,
+    _child_env,
     classify_exit,
 )
 from repro.service.watchdog import HEALTH_DEGRADED, HEALTH_OK, Watchdog
@@ -113,6 +117,26 @@ def test_classify_exit_taxonomy():
     assert crashed.kind == "crashed"
     assert "signal 9" in crashed.reason
     assert classify_exit(_handle(1)).kind == "crashed"
+
+
+def test_child_module_runs_once_under_python_m():
+    # spawned as run_sandboxed spawns it: were the module imported with
+    # the repro.service package, runpy would execute it a second time
+    # as __main__ and warn on stderr, which -W error makes fatal
+    child = subprocess.run(
+        [
+            sys.executable,
+            "-W",
+            "error::RuntimeWarning",
+            "-m",
+            "repro.service.sandbox_child",
+        ],
+        env=_child_env(),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert child.returncode == EXIT_SPEC, child.stderr
 
 
 def test_classify_exit_prefers_watchdog_kill_reason():

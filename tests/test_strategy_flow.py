@@ -159,41 +159,6 @@ class TestFlow:
         )
 
 
-class TestBufferTrimming:
-    def test_trimming_reduces_committed_memory(self):
-        from repro.core.tile_cost import CostWeights
-
-        plain_app = paper_example_application(Fraction(1, 60))
-        plain_arch = paper_example_architecture()
-        plain = ResourceAllocator().allocate(plain_app, plain_arch)
-
-        trimmed_app = paper_example_application(Fraction(1, 60))
-        trimmed_arch = paper_example_architecture()
-        trimmed = ResourceAllocator(trim_buffers=True).allocate(
-            trimmed_app, trimmed_arch
-        )
-
-        def total_memory(allocation):
-            return sum(
-                claim.memory
-                for claim in allocation.reservation.tiles.values()
-            )
-
-        assert total_memory(trimmed) <= total_memory(plain)
-        assert trimmed.satisfied
-
-    def test_trimming_preserves_flow_correctness(self):
-        arch = paper_example_architecture()
-        apps = [
-            paper_example_application(Fraction(1, 200)) for _ in range(3)
-        ]
-        result = allocate_until_failure(
-            arch, apps, allocator=ResourceAllocator(trim_buffers=True)
-        )
-        assert result.applications_bound >= 1
-        assert all(a.satisfied for a in result.allocations)
-
-
 class TestFlowCheckpoints:
     """Crash-safety plumbing of ``allocate_until_failure``.
 

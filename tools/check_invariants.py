@@ -48,8 +48,15 @@ broken hook just silently never fires or the docs silently rot:
    ``src/repro/cli.py`` is a registered code, the sandbox modules
    define no exit-code literals of their own, and every
    ``HTTP_EXIT_MAP`` value is a registered code.
+8. **Extensions sit on top of the layering.**  No module under
+   ``src/repro/`` outside ``repro/extensions/`` and ``repro/cli.py``
+   imports ``repro.extensions`` (or a submodule), deferred imports
+   inside functions included.  The follow-ups build on the allocator;
+   an allocator that reached back up into them would make every
+   ``repro.core`` user load them and tie the paper's strategy to
+   their behaviour.
 
-Checks 1-5 and 7 are read from source with :mod:`ast` — they never
+Checks 1-5, 7 and 8 are read from source with :mod:`ast` — they never
 import the package, so they work on a broken tree and add no import
 side effects.  Check 6 reuses the concurrency analyser
 (``repro.analysis.source``), which is itself pure AST over the same
@@ -73,6 +80,7 @@ ROBUSTNESS = REPO / "docs" / "ROBUSTNESS.md"
 EXITCODES = SRC / "exitcodes.py"
 CLI = SRC / "cli.py"
 LOCKCHECK = SRC / "obs" / "lockcheck.py"
+EXTENSIONS = SRC / "extensions"
 SANDBOX_MODULES = (
     SRC / "service" / "sandbox.py",
     SRC / "service" / "sandbox_child.py",
@@ -405,6 +413,35 @@ def check_exit_codes() -> List[str]:
     return problems
 
 
+def check_extension_layering() -> List[str]:
+    """Check 8: only the CLI and the extensions import repro.extensions."""
+    problems: List[str] = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path == CLI or EXTENSIONS in path.parents:
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                modules = [node.module] + [
+                    f"{node.module}.{alias.name}" for alias in node.names
+                ]
+            else:
+                continue
+            if any(
+                module.split(".")[:2] == ["repro", "extensions"]
+                for module in modules
+            ):
+                problems.append(
+                    f"{path.relative_to(REPO)}:{node.lineno}: imports "
+                    "repro.extensions, which sits above every other "
+                    "package (only repro/cli.py and repro/extensions/ "
+                    "may import it)"
+                )
+    return problems
+
+
 def main() -> int:
     fault_points = known_fault_points()
     events = documented_events()
@@ -423,6 +460,7 @@ def main() -> int:
         )
     problems.extend(check_lock_registry())
     problems.extend(check_exit_codes())
+    problems.extend(check_extension_layering())
     for problem in problems:
         print(problem)
     if problems:
