@@ -106,6 +106,11 @@ _BLOCKING_CALLS = {
     "os.listdir",
     "os.stat",
     "os.path.getsize",
+    # the persistence helpers open, fsync and rename inside
+    "write_atomic",
+    "read_json",
+    "repro.durable.write_atomic",
+    "repro.durable.read_json",
 }
 
 #: any call into these modules blocks (process/network I/O)

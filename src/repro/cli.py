@@ -55,6 +55,7 @@ from repro.core.strategy import BACKENDS, AllocationError, ResourceAllocator
 from repro.core.tile_cost import CostWeights
 from repro.csdf.graph import CSDFGraph
 from repro.csdf.serialization import csdf_from_dict, is_csdf_document
+from repro.durable import write_atomic
 from repro.exitcodes import HTTP_EXIT_MAP
 from repro.generate.benchmark import generate_benchmark_set
 from repro.obs import (
@@ -161,12 +162,10 @@ def _cmd_allocate(args: argparse.Namespace) -> int:
     if args.save_allocation:
         from repro.appmodel.serialization import bundle_to_json
 
-        with open(args.save_allocation, "w") as handle:
-            handle.write(
-                bundle_to_json(
-                    pre_flow, result.allocations, rungs=result.rungs
-                )
-            )
+        write_atomic(
+            args.save_allocation,
+            bundle_to_json(pre_flow, result.allocations, rungs=result.rungs),
+        )
         print(f"allocation bundle written to {args.save_allocation}")
     print(f"architecture: {architecture.name}")
     print(f"cost weights: {weights}")
@@ -225,8 +224,9 @@ def _cmd_allocate_file(args: argparse.Namespace) -> int:
     )
     if args.commit:
         allocation.reservation.commit(architecture)
-        with open(args.architecture, "w") as handle:
-            handle.write(architecture_to_json(architecture))
+        # serialise before touching the file, and replace it whole: an
+        # interrupt never leaves the user's architecture truncated
+        write_atomic(args.architecture, architecture_to_json(architecture))
         print(f"occupancy committed back to {args.architecture}")
     return 0
 
@@ -333,8 +333,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         snapshot = metrics.snapshot()
     report = {"result": summary, "metrics": snapshot}
     if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(to_json(report) + "\n")
+        write_atomic(args.out, to_json(report) + "\n")
         print(f"metrics report written to {args.out}")
     if args.summary:
         print(format_summary(snapshot))
@@ -356,8 +355,9 @@ def _cmd_example(args: argparse.Namespace) -> int:
     if args.save_allocation:
         from repro.appmodel.serialization import bundle_to_json
 
-        with open(args.save_allocation, "w") as handle:
-            handle.write(bundle_to_json(architecture, [allocation]))
+        write_atomic(
+            args.save_allocation, bundle_to_json(architecture, [allocation])
+        )
         print(f"allocation bundle written to {args.save_allocation}")
     print("binding:")
     for actor, tile in sorted(allocation.binding.assignment.items()):
@@ -541,19 +541,12 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     if args.update_baseline:
         if not args.baseline:
             raise ValueError("--update-baseline requires --baseline PATH")
-        with open(args.baseline, "w") as handle:
-            json.dump(
-                {
-                    "format": "repro-lint-baseline",
-                    "version": 1,
-                    "fingerprints": sorted(
-                        {d.fingerprint for d in report}
-                    ),
-                },
-                handle,
-                indent=2,
-            )
-            handle.write("\n")
+        document = {
+            "format": "repro-lint-baseline",
+            "version": 1,
+            "fingerprints": sorted({d.fingerprint for d in report}),
+        }
+        write_atomic(args.baseline, json.dumps(document, indent=2) + "\n")
         print(
             f"baseline with {len(report)} finding(s) written to "
             f"{args.baseline}"
@@ -584,8 +577,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     else:
         rendered = report.render_text()
     if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(rendered + "\n")
+        write_atomic(args.out, rendered + "\n")
         print(f"lint report written to {args.out}")
     else:
         print(rendered)
@@ -647,10 +639,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     url = f"http://{host}:{port}"
     # announce the bound endpoint (port 0 binds ephemerally) where
     # clients and tests can discover it: atomic, like everything else
-    temp = endpoint_path + ".tmp"
-    with open(temp, "w", encoding="utf-8") as handle:
-        json.dump({"host": host, "port": port, "url": url}, handle)
-    os.replace(temp, endpoint_path)
+    write_atomic(
+        endpoint_path, json.dumps({"host": host, "port": port, "url": url})
+    )
 
     def _graceful(signum: int, frame: object) -> None:
         server.request_drain()

@@ -21,12 +21,9 @@ from fractions import Fraction
 from typing import Dict, List, Union
 
 from repro.appmodel.application import ApplicationGraph
-from repro.sdf.cycles import per_actor_max_cycle_ratio
+from repro.sdf.cycles import CYCLE_LIMIT, per_actor_max_cycle_ratio
 
 Criticality = Union[Fraction, float]
-
-#: cap on the simple cycles enumerated per application (dense graphs)
-CYCLE_LIMIT = 20000
 
 
 def actor_criticality(

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.durable import write_atomic
 from repro.throughput.constrained import TraceEvent
 
 # Printable ASCII per the VCD grammar, minus the scalar value characters
@@ -125,5 +126,4 @@ def write_vcd(
     timescale: str = "1 ns",
 ) -> None:
     """Write ``events`` to ``path`` as a VCD file."""
-    with open(path, "w") as handle:
-        handle.write(trace_to_vcd(events, timescale=timescale))
+    write_atomic(path, trace_to_vcd(events, timescale=timescale))

@@ -11,7 +11,7 @@ regression detection (see :mod:`repro.bench`).
 
 The envelope mirrors the checkpoint format: ``format`` is
 :data:`REPORT_FORMAT`, ``version`` is :data:`REPORT_VERSION`, files are
-written atomically (write-to-temp + ``os.replace``), and
+written atomically by :func:`repro.durable.write_atomic`, and
 :func:`read_report` refuses anything it does not understand with a
 typed :class:`ReportError`.  Everything inside a report is JSON-native
 (:func:`build_report` normalises ``Fraction`` and friends through
@@ -29,6 +29,7 @@ import subprocess
 import sys
 from typing import Any, Dict, Optional
 
+from repro.durable import read_json, write_atomic
 from repro.obs.sinks import to_json
 
 REPORT_FORMAT = "repro-run-report"
@@ -143,33 +144,12 @@ def write_report(path: str, report: Dict[str, Any]) -> str:
             "envelope"
         )
     text = json.dumps(report, indent=2, default=str)
-    temp = path + ".tmp"
-    try:
-        with open(temp, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(temp, path)
-    except BaseException:
-        try:
-            os.unlink(temp)
-        except OSError:
-            pass
-        raise
-    return path
+    return write_atomic(path, text + "\n")
 
 
 def read_report(path: str) -> Dict[str, Any]:
     """Load and validate a report written by :func:`write_report`."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-    except OSError as error:
-        raise ReportError(f"cannot read run report: {error}") from error
-    except json.JSONDecodeError as error:
-        raise ReportError(
-            f"run report {path!r} is not valid JSON: {error}"
-        ) from error
+    data = read_json(path, ReportError, "run report")
     if not isinstance(data, dict) or data.get("format") != REPORT_FORMAT:
         raise ReportError(f"{path!r} is not a repro run report")
     if data.get("version") != REPORT_VERSION:

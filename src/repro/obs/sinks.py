@@ -20,6 +20,8 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, IO, Optional, Union
 
+from repro.durable import write_atomic
+
 __all__ = [
     "JsonSink",
     "NULL_SINK",
@@ -66,8 +68,7 @@ class JsonSink(Sink):
     def emit(self, snapshot: Dict[str, Any]) -> None:
         payload = to_json(snapshot, indent=self.indent)
         if isinstance(self.target, str):
-            with open(self.target, "w") as handle:
-                handle.write(payload + "\n")
+            write_atomic(self.target, payload + "\n")
         else:
             self.target.write(payload + "\n")
 

@@ -5,8 +5,10 @@ trace ring would otherwise die with it.  This module is the bridge:
 
 * the child periodically calls :func:`write_telemetry` to spool its
   ``Metrics`` snapshot plus ``TraceBuffer`` contents to a per-
-  (job, attempt) sidecar file next to the heartbeat file (atomic
-  write-to-temp + rename, so the parent never reads a torn file);
+  (job, attempt) sidecar file next to the heartbeat file
+  (:func:`repro.durable.write_atomic`, so the parent never reads a
+  torn file, even while the heartbeat thread and the final spool
+  write it at once);
 * the parent reads it back with :func:`read_telemetry` after the child
   exits, folds the counters/timers/histograms into the daemon registry
   under the ``child.`` namespace (``Metrics.merge_snapshot``), and
@@ -39,6 +41,7 @@ import threading
 import time
 from typing import Any, Dict, List, Optional
 
+from repro.durable import read_json, write_atomic
 from repro.obs.lockcheck import make_lock
 from repro.obs.metrics import MetricsLike
 from repro.obs.trace import TraceBuffer, TraceEvent, NullTraceBuffer
@@ -110,30 +113,12 @@ def write_telemetry(
             "events": [event.to_dict() for event in trace.events()],
         },
     }
-    temp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(temp, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(payload, default=str))
-            handle.flush()
-        os.replace(temp, path)
-    except BaseException:
-        try:
-            os.unlink(temp)
-        except OSError:
-            pass
-        raise
-    return path
+    return write_atomic(path, json.dumps(payload, default=str))
 
 
 def read_telemetry(path: str) -> Dict[str, Any]:
     """Read and validate a sidecar written by :func:`write_telemetry`."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except FileNotFoundError:
-        raise TelemetryError(f"no telemetry sidecar at {path}")
-    except (OSError, json.JSONDecodeError) as exc:
-        raise TelemetryError(f"unreadable telemetry sidecar {path}: {exc}")
+    payload = read_json(path, TelemetryError, "telemetry sidecar")
     if not isinstance(payload, dict):
         raise TelemetryError(f"telemetry sidecar {path} is not an object")
     if payload.get("format") != TELEMETRY_FORMAT:
@@ -408,16 +393,8 @@ class FlightRecorder:
         }
         if extra:
             payload["extra"] = extra
-        temp = f"{path}.{os.getpid()}.tmp"
         try:
             os.makedirs(self.root, exist_ok=True)
-            with open(temp, "w", encoding="utf-8") as handle:
-                handle.write(json.dumps(payload, default=str))
-            os.replace(temp, path)
+            return write_atomic(path, json.dumps(payload, default=str))
         except OSError:
-            try:
-                os.unlink(temp)
-            except OSError:
-                pass
             return None
-        return path

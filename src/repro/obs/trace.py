@@ -30,13 +30,13 @@ has the full catalogue): ``engine``, ``tdma``, ``checkpoint``,
 from __future__ import annotations
 
 import json
-import os
 import threading
 import time
 from collections import deque
 from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List, Optional, Union
 
+from repro.durable import write_atomic
 from repro.obs.lockcheck import make_lock
 
 __all__ = [
@@ -364,22 +364,11 @@ def write_chrome_trace(
 ) -> str:
     """Atomically write :func:`chrome_trace` JSON to ``path``.
 
-    Write-to-temp plus :func:`os.replace`, like the checkpoint writer,
-    so a crash mid-write never leaves a truncated trace; non-JSON
-    argument values are stringified.  Returns ``path``.
+    Written by :func:`repro.durable.write_atomic`, like checkpoints, so
+    a crash mid-write never leaves a truncated trace; non-JSON argument
+    values are stringified.  Returns ``path``.
     """
     payload = json.dumps(
         chrome_trace(events, process_name=process_name), default=str
     )
-    temp = path + ".tmp"
-    try:
-        with open(temp, "w", encoding="utf-8") as handle:
-            handle.write(payload + "\n")
-        os.replace(temp, path)
-    except BaseException:
-        try:
-            os.unlink(temp)
-        except OSError:
-            pass
-        raise
-    return path
+    return write_atomic(path, payload + "\n")

@@ -7,9 +7,10 @@ the rates of the components finished so far, and the interrupted
 engine's full frontier (visited-state map plus current state).  This
 module persists that payload and turns it back into a running analysis:
 
-* :func:`write_checkpoint` / :func:`read_checkpoint` — atomic,
-  versioned JSON files (write-to-temp + ``os.replace``, so a crash or
-  injected fault mid-write never leaves a truncated checkpoint behind);
+* :func:`write_checkpoint` / :func:`read_checkpoint` — versioned JSON
+  files, written by :func:`repro.durable.write_atomic` (so a crash or
+  injected fault mid-write never leaves a truncated checkpoint behind)
+  and read by :func:`repro.durable.read_json`;
 * :func:`resume_from_checkpoint` — rebuilds the graph and continues the
   exploration **bit-identically**: the resumed
   :class:`~repro.throughput.state_space.ThroughputResult` has the same
@@ -24,9 +25,9 @@ allocations and are resumed by the flow itself, not by this module.
 from __future__ import annotations
 
 import json
-import os
 from typing import Any, Dict, Optional, Sequence, Union
 
+from repro.durable import read_json, write_atomic
 from repro.obs import get_metrics
 from repro.obs.trace import get_trace
 from repro.resilience.budget import Budget
@@ -44,10 +45,10 @@ class CheckpointError(SerializationError):
 def write_checkpoint(path: str, data: Dict[str, Any]) -> str:
     """Atomically persist a checkpoint payload as JSON; returns ``path``.
 
-    The payload is written to ``path + ".tmp"`` first and renamed into
-    place, so readers only ever observe a complete file.  The payload
-    must carry the standard envelope (``format``/``version``); payloads
-    taken from ``error.partial["checkpoint"]`` already do.
+    :func:`~repro.durable.write_atomic` renames a durable temp file
+    into place, so readers only ever observe a complete file.  The
+    payload must carry the standard envelope (``format``/``version``);
+    payloads taken from ``error.partial["checkpoint"]`` already do.
     """
     if data.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError(
@@ -57,22 +58,11 @@ def write_checkpoint(path: str, data: Dict[str, Any]) -> str:
             field="format",
         )
     text = json.dumps(data, indent=2)
-    temp = path + ".tmp"
-    try:
-        with open(temp, "w", encoding="utf-8") as handle:
-            handle.write(text)
-            handle.flush()
-            os.fsync(handle.fileno())
-            # after the bytes are durable but before the rename: a fault
-            # here must leave `path` untouched (tests/test_faults.py)
-            fault_point("checkpoint.write", path=path)
-        os.replace(temp, path)
-    except BaseException:
-        try:
-            os.unlink(temp)
-        except OSError:
-            pass
-        raise
+    # the fault fires after the bytes are durable but before the
+    # rename, so it must leave `path` untouched (tests/test_faults.py)
+    write_atomic(
+        path, text, lambda: fault_point("checkpoint.write", path=path)
+    )
     obs = get_metrics()
     obs.counter("checkpoint.writes")
     obs.counter("checkpoint.bytes", len(text))
@@ -91,21 +81,10 @@ def write_checkpoint(path: str, data: Dict[str, Any]) -> str:
 def read_checkpoint(path: str) -> Dict[str, Any]:
     """Load and validate a checkpoint file written by :func:`write_checkpoint`."""
     fault_point("checkpoint.read", path=path)
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-    except OSError as error:
-        raise CheckpointError(
-            f"cannot read checkpoint: {error}", source=path
-        ) from error
-    except (json.JSONDecodeError, UnicodeDecodeError) as error:
-        # truncated mid-write, or overwritten with binary garbage —
-        # either way a typed error with file context, never a bare
-        # decode exception (tests/test_checkpoint.py corrupts real
-        # checkpoints to pin this down)
-        raise CheckpointError(
-            f"checkpoint is truncated or corrupted: {error}", source=path
-        ) from error
+    # truncated mid-write or overwritten with binary garbage: a typed
+    # error naming the file, never a bare decode exception
+    # (tests/test_checkpoint.py corrupts real checkpoints to pin this)
+    data = read_json(path, CheckpointError, "checkpoint")
     if not isinstance(data, dict) or data.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError(
             "not a repro checkpoint file", source=path, field="format"

@@ -45,10 +45,7 @@ class Rung:
     """One configuration of the degradation ladder.
 
     ``None`` fields inherit the caller's allocator configuration; set
-    fields override it for this rung only.  ``baseline=True`` marks the
-    terminal TDMA-inflation rung, which ignores the other knobs and
-    runs budget-exempt (it must be allowed to finish — it is the sound
-    floor the ladder guarantees).
+    fields override it for this rung only.
     """
 
     name: str
@@ -56,7 +53,6 @@ class Rung:
     refine_slices: Optional[bool] = None
     relaxation: Optional[float] = None
     max_states: Optional[int] = None
-    baseline: bool = False
 
     def configure(self, allocator: ResourceAllocator) -> ResourceAllocator:
         """The caller's allocator with this rung's overrides applied."""
@@ -74,7 +70,9 @@ class Rung:
 
 #: The default ladder: exact strategy, then the strategy without its two
 #: optimisation passes and a wide early-stop band, then the same with a
-#: hard state cap, and finally the conservative TDMA-inflation baseline.
+#: hard state cap, and finally the conservative TDMA-inflation baseline,
+#: which :func:`resilient_allocate` runs as the last rung, budget-exempt
+#: and without knobs: it is the sound floor the ladder guarantees.
 DEFAULT_LADDER: Tuple[Rung, ...] = (
     Rung(name="exact"),
     Rung(
@@ -90,7 +88,7 @@ DEFAULT_LADDER: Tuple[Rung, ...] = (
         relaxation=0.5,
         max_states=20000,
     ),
-    Rung(name="tdma-baseline", baseline=True),
+    Rung(name="tdma-baseline"),
 )
 
 

@@ -25,6 +25,10 @@ from repro.sdf.graph import SDFGraph
 
 Ratio = Union[Fraction, float]
 
+#: cap on the simple cycles one enumeration yields (dense graphs); the
+#: default ``limit`` of every cycle-ratio analysis built on this module
+CYCLE_LIMIT = 20000
+
 
 def _reach(start: int, adjacency: List[List[int]]) -> Set[int]:
     """``start`` and the vertices above it that ``adjacency`` reaches
@@ -163,7 +167,7 @@ def cycle_ratio(
 def per_actor_max_cycle_ratio(
     graph: SDFGraph,
     weights: Dict[str, Union[int, Fraction]],
-    limit: Optional[int] = 20000,
+    limit: Optional[int] = CYCLE_LIMIT,
 ) -> Dict[str, Ratio]:
     """For every actor, the max ratio over simple cycles through it.
 
@@ -183,7 +187,7 @@ def per_actor_max_cycle_ratio(
 def max_cycle_ratio(
     graph: SDFGraph,
     weights: Optional[Dict[str, Union[int, Fraction]]] = None,
-    limit: Optional[int] = 20000,
+    limit: Optional[int] = CYCLE_LIMIT,
 ) -> Optional[Ratio]:
     """Maximum cycle ratio over all simple cycles (None when acyclic).
 

@@ -22,6 +22,7 @@ import json
 import os
 from typing import Any, Dict, Optional
 
+from repro.durable import read_json, write_atomic
 from repro.obs import get_metrics
 from repro.resilience.faults import fault_point
 from repro.sdf.serialization import SerializationError
@@ -58,17 +59,7 @@ class ResultCache:
         fault_point("service.cache.read", key=canonical.digest)
         if not os.path.exists(path):
             return None
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                data = json.load(handle)
-        except OSError as error:
-            raise CacheError(
-                f"cannot read cache entry: {error}", source=path
-            ) from error
-        except (json.JSONDecodeError, UnicodeDecodeError) as error:
-            raise CacheError(
-                f"cache entry is corrupted: {error}", source=path
-            ) from error
+        data = read_json(path, CacheError, "cache entry")
         if not isinstance(data, dict) or data.get("format") != CACHE_FORMAT:
             raise CacheError(
                 "not a repro cache entry", source=path, field="format"
@@ -112,20 +103,10 @@ class ResultCache:
             "backend": backend,
             "allocation": allocation,
         }
-        text = json.dumps(entry, indent=2)
-        temp = path + ".tmp"
-        try:
-            with open(temp, "w", encoding="utf-8") as handle:
-                handle.write(text)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(temp, path)
-        except BaseException:
-            try:
-                os.unlink(temp)
-            except OSError:
-                pass
-            raise
+        # two workers that computed isomorphic requests store one digest
+        # at once; their temp files are their own, so the last rename
+        # wins and the entry is always whole
+        write_atomic(path, json.dumps(entry, indent=2))
         get_metrics().counter("service.cache.stores")
         return path
 

@@ -2,10 +2,10 @@
 
 Every job the service accepts is persisted as one JSON file under
 ``<spool>/jobs/`` before the submitter gets an id back, and re-written
-on every state transition, using the same atomic write-to-temp +
-``os.replace`` idiom as :mod:`repro.resilience.checkpoint`.  A crash at
-any instant therefore leaves each job either absent (never accepted) or
-in its last durable state — a job is never half-written and never lost.
+on every state transition, through the same atomic writer as
+checkpoints, :func:`repro.durable.write_atomic`.  A crash at any
+instant therefore leaves each job either absent (never accepted) or in
+its last durable state — a job is never half-written and never lost.
 
 Recovery (:meth:`JobJournal.recover`) is deliberately forgiving: a
 record that fails to parse is renamed to ``<file>.corrupt`` and skipped
@@ -21,6 +21,7 @@ import json
 import os
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.durable import read_json, write_atomic
 from repro.obs import get_metrics
 from repro.obs.lockcheck import make_lock
 from repro.obs.log import get_logger
@@ -163,24 +164,17 @@ class JobJournal:
         """
         validate_job_record(record, source=self.path(record.get("id", "?")))
         path = self.path(record["id"])
-        text = json.dumps(record, indent=2)
-        temp = path + ".tmp"
         try:
-            with open(temp, "w", encoding="utf-8") as handle:
-                handle.write(text)
-                handle.flush()
-                os.fsync(handle.fileno())
-                fault_point(
+            write_atomic(
+                path,
+                json.dumps(record, indent=2),
+                lambda: fault_point(
                     "service.journal.write",
                     job=record["id"],
                     state=record["state"],
-                )
-            os.replace(temp, path)
+                ),
+            )
         except BaseException as error:
-            try:
-                os.unlink(temp)
-            except OSError:
-                pass
             get_logger().error(
                 "journal.write_failed",
                 job=record.get("id"),
@@ -196,17 +190,7 @@ class JobJournal:
 
     def load(self, job_id: str) -> Dict[str, Any]:
         path = self.path(job_id)
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                data = json.load(handle)
-        except OSError as error:
-            raise JournalError(
-                f"cannot read job record: {error}", source=path
-            ) from error
-        except (json.JSONDecodeError, UnicodeDecodeError) as error:
-            raise JournalError(
-                f"job record is corrupted: {error}", source=path
-            ) from error
+        data = read_json(path, JournalError, "job record")
         return validate_job_record(data, source=path)
 
     def recover(self) -> Tuple[List[Dict[str, Any]], List[str]]:
@@ -220,9 +204,10 @@ class JobJournal:
         corrupted: List[str] = []
         for name in sorted(os.listdir(self.jobs_dir)):
             if name.endswith(".tmp"):
-                # a crash inside the atomic-rename window leaves the
-                # temp file behind; the real record (old state) is
-                # intact, so the partial write is safe to discard
+                # a crash inside the atomic-rename window leaves a
+                # writer's temp file (<record>.<pid>.<tid>.tmp) behind;
+                # the real record (old state) is intact, so the partial
+                # write is safe to discard
                 try:
                     os.unlink(os.path.join(self.jobs_dir, name))
                 except OSError:

@@ -35,9 +35,9 @@ The contract, per attempt:
   turns into a retry (transient crash) or a quarantine carrying the
   verdict (reproducible crash).  The daemon itself never dies.
 
-Everything on disk is written atomically and named per (job, attempt),
-so an orphaned child from a SIGKILLed daemon can never clobber the
-files of the retried attempt.
+Every document on disk is written by :func:`repro.durable.write_atomic`
+and named per (job, attempt), so an orphaned child from a SIGKILLed
+daemon can never clobber the files of the retried attempt.
 """
 
 from __future__ import annotations
@@ -52,6 +52,7 @@ from dataclasses import dataclass, field
 from time import perf_counter, sleep
 from typing import Any, Dict, Optional
 
+from repro.durable import read_json, write_atomic
 from repro.exitcodes import EXIT_CPU, EXIT_OOM, EXIT_SPEC
 from repro.obs import get_metrics
 from repro.obs.lockcheck import make_lock
@@ -189,12 +190,7 @@ def write_request_spec(
         "heartbeat_interval": heartbeat_interval,
         "telemetry_path": telemetry_path,
     }
-    temp = path + ".tmp"
-    with open(temp, "w", encoding="utf-8") as handle:
-        json.dump(request_spec, handle, indent=2)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(temp, path)
+    write_atomic(path, json.dumps(request_spec, indent=2))
     return request_spec
 
 
@@ -630,9 +626,8 @@ def run_sandboxed(
         obs.counter(f"sandbox.{verdict.kind.replace('-', '_')}")
         raise SandboxFailure(verdict)
     try:
-        with open(result_path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as error:
+        payload = read_json(result_path, ValueError, "sandbox result")
+    except ValueError as error:
         crashed = SandboxVerdict(
             VERDICT_CRASHED,
             exit_status=0,

@@ -25,9 +25,11 @@ one allocation attempt inside OS-level containment:
 The request spec holds the attempt spec :func:`run_attempt` reads
 (``request``, ``backend``, ``checkpoint_path``) plus the sandbox's own
 fields: ``budget``, ``limits``, the heartbeat, result and telemetry
-paths and the heartbeat interval.  The outcome file is written
-atomically, so the parent never reads a torn result; everything else
-about the protocol is documented in :mod:`repro.service.sandbox`.
+paths and the heartbeat interval.  The spec is read and the outcome
+file written through :mod:`repro.durable`, so the parent never reads a
+torn result and an unreadable spec (missing, torn, not UTF-8) exits
+:data:`~repro.exitcodes.EXIT_SPEC`; everything else about the protocol
+is documented in :mod:`repro.service.sandbox`.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ import sys
 import threading
 from typing import Any, Dict, Optional
 
+from repro.durable import read_json, write_atomic
 from repro.resilience.budget import Budget
 
 
@@ -190,15 +193,6 @@ def _heartbeat_loop(
         beating.set()  # a dead beater must not hold the attempt back
 
 
-def _write_outcome(path: str, payload: Dict[str, Any]) -> None:
-    temp = f"{path}.{os.getpid()}.tmp"
-    with open(temp, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(temp, path)
-
-
 def run_attempt(spec: Dict[str, Any], budget: Any) -> Dict[str, Any]:
     """The service's one allocation pipeline; returns the outcome payload.
 
@@ -275,11 +269,10 @@ def main(argv: Optional[list] = None) -> int:
     if len(argv) != 1:
         return EXIT_SPEC
     try:
-        with open(argv[0], "r", encoding="utf-8") as handle:
-            spec = json.load(handle)
+        spec = read_json(argv[0], ValueError, "request spec")
         result_path = spec["result_path"]
         heartbeat_path = spec["heartbeat_path"]
-    except (OSError, json.JSONDecodeError, KeyError):
+    except (ValueError, KeyError):
         return EXIT_SPEC
 
     _apply_rlimits(spec.get("limits") or {})
@@ -354,12 +347,15 @@ def main(argv: Optional[list] = None) -> int:
             payload = run_attempt(spec, budget)
         finally:
             stop.set()
+        # the beater may be mid-spool with an older snapshot; the last
+        # rename wins, so the final spool below must start after it ends
+        beater.join()
         if spool_telemetry is not None:
             try:
                 spool_telemetry()  # final snapshot: the complete attempt
             except Exception:
                 pass
-        _write_outcome(result_path, payload)
+        write_atomic(result_path, json.dumps(payload, indent=2))
     except MemoryError:
         os._exit(EXIT_OOM)
     return 0

@@ -26,6 +26,7 @@ from typing import TYPE_CHECKING, Optional, Tuple, Union
 
 from repro.obs import get_metrics
 from repro.resilience.budget import Budget
+from repro.sdf.cycles import CYCLE_LIMIT
 from repro.sdf.cycles import max_cycle_ratio as _enumerated_max_cycle_ratio
 from repro.sdf.graph import SDFGraph
 
@@ -167,7 +168,7 @@ def max_cycle_ratio_numeric(
 def hsdf_iteration_rate(
     hsdf: SDFGraph,
     exact: bool = True,
-    limit: Optional[int] = 20000,
+    limit: Optional[int] = CYCLE_LIMIT,
     method: Optional[str] = None,
     budget: Optional[Budget] = None,
 ) -> Ratio:

@@ -11,6 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Optional, Union
 
+from repro.sdf.cycles import CYCLE_LIMIT
 from repro.sdf.graph import SDFGraph
 from repro.sdf.transform import sdf_to_hsdf
 from repro.throughput.mcr import hsdf_iteration_rate
@@ -22,7 +23,7 @@ def reference_throughput(
     graph: SDFGraph,
     execution_times: Optional[Dict[str, int]] = None,
     exact: bool = True,
-    limit: Optional[int] = 20000,
+    limit: Optional[int] = CYCLE_LIMIT,
 ) -> Rate:
     """Iteration rate of ``graph`` computed the classical way.
 

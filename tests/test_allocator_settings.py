@@ -8,21 +8,31 @@ Eqn. 2 weights, the early-stop band, the rebinding and refinement
 passes) are all reached that way; a cycle-enumeration cap, an exact
 slice-grid step and a buffer-trimming step once sat beside them with
 no caller at all.  The tests pin both sets, read the construction sites
-from source, and check that the removed parameters stay removed.
+from source, and check that the removed parameters stay removed, the
+ladder's ``Rung.baseline`` flag among them (the baseline is the last
+rung by position), and that every cycle enumeration defaults to one cap.
 """
 
 import ast
+import inspect
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from repro.core.binding import bind_application
-from repro.core.criticality import actor_criticality, binding_order
+from repro.core.criticality import (
+    CYCLE_LIMIT,
+    actor_criticality,
+    binding_order,
+)
 from repro.core.flow import allocate_until_failure
 from repro.core.strategy import ResourceAllocator
 from repro.exact import exact_search
 from repro.resilience.policy import DEFAULT_LADDER, Rung, resilient_allocate
+from repro.sdf import cycles
+from repro.throughput.mcr import hsdf_iteration_rate
+from repro.throughput.reference import reference_throughput
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
@@ -94,3 +104,24 @@ def test_every_allocator_field_has_a_caller():
 def test_removed_settings_are_rejected(call, keyword):
     with pytest.raises(TypeError, match=keyword):
         call(**{keyword: None})
+
+
+def test_rung_baseline_flag_is_rejected():
+    with pytest.raises(TypeError, match="baseline"):
+        Rung(name="x", baseline=True)
+
+
+@pytest.mark.parametrize(
+    "function",
+    [
+        cycles.per_actor_max_cycle_ratio,
+        cycles.max_cycle_ratio,
+        hsdf_iteration_rate,
+        reference_throughput,
+    ],
+    ids=lambda function: function.__name__,
+)
+def test_cycle_enumerations_default_to_one_cap(function):
+    limit = inspect.signature(function).parameters["limit"].default
+    assert limit == cycles.CYCLE_LIMIT
+    assert CYCLE_LIMIT is cycles.CYCLE_LIMIT

@@ -224,7 +224,7 @@ def test_write_rejects_payload_without_envelope(tmp_path):
     with pytest.raises(CheckpointError):
         write_checkpoint(path, {"kind": "state-space"})
     assert not (tmp_path / "ck.json").exists()
-    assert not (tmp_path / "ck.json.tmp").exists()
+    assert not list(tmp_path.glob("*.tmp"))
 
 
 def test_read_rejects_truncated_and_foreign_files(tmp_path):

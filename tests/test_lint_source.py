@@ -79,6 +79,37 @@ def test_waiver_suppresses_a_finding(tmp_path):
     assert len(analyse_source([str(path)])) == 0
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        "write_atomic(self.path, text)",
+        "repro.durable.write_atomic(self.path, text)",
+        "read_json(self.path, ValueError, 'state')",
+        "repro.durable.read_json(self.path, ValueError, 'state')",
+    ],
+)
+def test_persisting_under_a_lock_is_a_blocking_call(tmp_path, call):
+    """The helpers open, fsync and rename: CON003 sees through them."""
+    path = tmp_path / "store.py"
+    path.write_text(
+        "import threading\n"
+        "import repro.durable\n"
+        "from repro.durable import read_json, write_atomic\n"
+        "\n"
+        "\n"
+        "class Store:\n"
+        "    def __init__(self, path):\n"
+        "        self._lock = threading.Lock()  # guards: the file\n"
+        "        self.path = path\n"
+        "\n"
+        "    def save(self, text):\n"
+        "        with self._lock:\n"
+        f"            {call}\n"
+    )
+    fired = [diagnostic.rule_id for diagnostic in analyse_source([str(path)])]
+    assert fired == ["CON003"]
+
+
 def test_unparseable_source_raises_value_error(tmp_path):
     path = tmp_path / "broken.py"
     path.write_text("def broken(:\n")

@@ -55,8 +55,16 @@ broken hook just silently never fires or the docs silently rot:
    an allocator that reached back up into them would make every
    ``repro.core`` user load them and tie the paper's strategy to
    their behaviour.
+9. **One writer for persisted files.**  No ``os.fsync`` call and no
+   ``open(...)`` whose mode literal (positional or ``mode=``) contains
+   ``w`` or ``x`` appears under ``src/repro/`` outside
+   ``repro/durable.py``.  Every document the program persists goes
+   through ``repro.durable.write_atomic`` (per-thread temp file, fsync,
+   ``os.replace``); a write that opened its target in place could leave
+   it truncated, and a private copy of the protocol drifts from the
+   others.  Append-mode streams (``"a"``) are not documents and pass.
 
-Checks 1-5, 7 and 8 are read from source with :mod:`ast` — they never
+Checks 1-5 and 7-9 are read from source with :mod:`ast` — they never
 import the package, so they work on a broken tree and add no import
 side effects.  Check 6 reuses the concurrency analyser
 (``repro.analysis.source``), which is itself pure AST over the same
@@ -81,6 +89,7 @@ EXITCODES = SRC / "exitcodes.py"
 CLI = SRC / "cli.py"
 LOCKCHECK = SRC / "obs" / "lockcheck.py"
 EXTENSIONS = SRC / "extensions"
+DURABLE = SRC / "durable.py"
 SANDBOX_MODULES = (
     SRC / "service" / "sandbox.py",
     SRC / "service" / "sandbox_child.py",
@@ -442,6 +451,51 @@ def check_extension_layering() -> List[str]:
     return problems
 
 
+def _open_mode(call: ast.Call) -> str:
+    """The literal mode of an ``open(...)`` call, positional or
+    ``mode=`` ("" when it is not a string literal)."""
+    mode = call.args[1] if len(call.args) > 1 else None
+    for keyword in call.keywords:
+        if keyword.arg == "mode":
+            mode = keyword.value
+    if isinstance(mode, ast.Constant) and isinstance(mode.value, str):
+        return mode.value
+    return ""
+
+
+def check_durable_writes() -> List[str]:
+    """Check 9: write-mode opens and fsyncs live in repro/durable.py."""
+    problems: List[str] = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path == DURABLE:
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            where = f"{path.relative_to(REPO)}:{node.lineno}"
+            if isinstance(func, ast.Name) and func.id == "open":
+                mode = _open_mode(node)
+                if set(mode) & {"w", "x"}:
+                    problems.append(
+                        f"{where}: open(..., {mode!r}) outside "
+                        "repro/durable.py; persist the file with "
+                        "repro.durable.write_atomic"
+                    )
+            elif (
+                isinstance(func, ast.Attribute)
+                and func.attr == "fsync"
+                and isinstance(func.value, ast.Name)
+                and func.value.id == "os"
+            ):
+                problems.append(
+                    f"{where}: os.fsync outside repro/durable.py; "
+                    "persist the file with repro.durable.write_atomic"
+                )
+    return problems
+
+
 def main() -> int:
     fault_points = known_fault_points()
     events = documented_events()
@@ -461,6 +515,7 @@ def main() -> int:
     problems.extend(check_lock_registry())
     problems.extend(check_exit_codes())
     problems.extend(check_extension_layering())
+    problems.extend(check_durable_writes())
     for problem in problems:
         print(problem)
     if problems:
