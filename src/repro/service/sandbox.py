@@ -37,7 +37,9 @@ The contract, per attempt:
 
 Every document on disk is written by :func:`repro.durable.write_atomic`
 and named per (job, attempt), so an orphaned child from a SIGKILLed
-daemon can never clobber the files of the retried attempt.
+daemon can never clobber the files of the retried attempt.  Once the
+verdict is classified and the telemetry harvested, whatever the
+verdict, :func:`run_sandboxed` removes the attempt's four files.
 """
 
 from __future__ import annotations
@@ -534,109 +536,120 @@ def run_sandboxed(
     heartbeat_path = stem + ".beat"
     result_path = stem + ".result.json"
     telemetry_path = stem + ".telemetry.json"
-    for stale in (heartbeat_path, result_path, telemetry_path):
-        try:
-            os.unlink(stale)
-        except OSError:
-            pass
-    write_request_spec(
-        request_path,
-        job=job,
-        attempt=attempt,
-        spec=spec,
-        budget=budget_spec,
-        limits=limits,
-        heartbeat_path=heartbeat_path,
-        result_path=result_path,
-        heartbeat_interval=heartbeat_interval,
-        telemetry_path=telemetry_path,
-    )
-    fault_point("service.sandbox.spawn", job=job, attempt=attempt)
-    obs = get_metrics()
-    process = subprocess.Popen(
-        [sys.executable, "-m", "repro.service.sandbox_child", request_path],
-        env=_child_env(),
-        stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL,
-    )
-    obs.counter("sandbox.spawned")
-    handle = SandboxHandle(
-        job=job,
-        attempt=attempt,
-        process=process,
-        heartbeat_path=heartbeat_path,
-        memory_mb=limits.get("memory_mb"),
-        deadline=budget_spec.get("deadline"),
-        stall_timeout=stall_timeout,
-    )
-    watchdog.register(handle)
-    tr = get_trace()
-    span = tr.span("sandbox", "attempt", job=job, attempt=attempt)
+    _discard(heartbeat_path, result_path, telemetry_path)
     try:
-        with span:
-            while process.poll() is None:
-                if budget is not None and budget.cancelled:
-                    handle.kill("cancelled")
-                    process.wait(timeout=30)
-                    break
-                sleep(poll_interval)
-            process.wait()
-    finally:
-        watchdog.unregister(handle)
-    try:
-        handle.read_heartbeat()  # final progress/rss snapshot
-    except Exception:
-        # best-effort bookkeeping: an injected heartbeat fault (or a
-        # vanished beat file) must not fail an attempt that completed
-        pass
-    # Harvest whatever telemetry the child managed to spool — failed
-    # and killed attempts especially, since their sidecar is the only
-    # surviving record of where the engine's time and states went.
-    try:
-        harvest_telemetry(telemetry_path, job, attempt, telemetry)
-    except Exception:
-        get_metrics().counter("service.telemetry.errors")
-    if obs.enabled:
-        # the parent budget is never charged in process isolation, so
-        # the states-explored histogram feeds from the child's last
-        # self-reported figure instead
-        states = handle.watch_stats()["last_beat"].get("states")
-        if states:
-            obs.histogram(
-                "service.states_explored",
-                float(states),
-                buckets=DEFAULT_SIZE_BUCKETS,
-            )
-    if handle.kill_reason == "cancelled":
-        raise BudgetExceededError(
-            f"sandboxed attempt for {job!r} cancelled by the service",
-            reason="cancelled",
-        )
-    verdict = classify_exit(handle)
-    if tr.enabled:
-        tr.instant(
-            "sandbox",
-            "verdict",
+        write_request_spec(
+            request_path,
             job=job,
             attempt=attempt,
-            kind=verdict.kind,
-            exit_status=verdict.exit_status,
+            spec=spec,
+            budget=budget_spec,
+            limits=limits,
+            heartbeat_path=heartbeat_path,
+            result_path=result_path,
+            heartbeat_interval=heartbeat_interval,
+            telemetry_path=telemetry_path,
         )
-    if verdict.kind != VERDICT_COMPLETED:
-        obs.counter(f"sandbox.{verdict.kind.replace('-', '_')}")
-        raise SandboxFailure(verdict)
-    try:
-        payload = read_json(result_path, ValueError, "sandbox result")
-    except ValueError as error:
-        crashed = SandboxVerdict(
-            VERDICT_CRASHED,
-            exit_status=0,
-            peak_rss_kb=verdict.peak_rss_kb,
-            beats=verdict.beats,
-            reason=f"child exited 0 but its result is unreadable: {error}",
+        fault_point("service.sandbox.spawn", job=job, attempt=attempt)
+        obs = get_metrics()
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro.service.sandbox_child", request_path],
+            env=_child_env(),
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
         )
-        obs.counter("sandbox.crashed")
-        raise SandboxFailure(crashed) from error
-    obs.counter("sandbox.completed")
-    payload["sandbox_verdict"] = verdict.to_dict()
-    return payload
+        obs.counter("sandbox.spawned")
+        handle = SandboxHandle(
+            job=job,
+            attempt=attempt,
+            process=process,
+            heartbeat_path=heartbeat_path,
+            memory_mb=limits.get("memory_mb"),
+            deadline=budget_spec.get("deadline"),
+            stall_timeout=stall_timeout,
+        )
+        watchdog.register(handle)
+        tr = get_trace()
+        span = tr.span("sandbox", "attempt", job=job, attempt=attempt)
+        try:
+            with span:
+                while process.poll() is None:
+                    if budget is not None and budget.cancelled:
+                        handle.kill("cancelled")
+                        process.wait(timeout=30)
+                        break
+                    sleep(poll_interval)
+                process.wait()
+        finally:
+            watchdog.unregister(handle)
+        try:
+            handle.read_heartbeat()  # final progress/rss snapshot
+        except Exception:
+            # best-effort bookkeeping: an injected heartbeat fault (or a
+            # vanished beat file) must not fail an attempt that completed
+            pass
+        # Harvest whatever telemetry the child managed to spool — failed
+        # and killed attempts especially, since their sidecar is the only
+        # surviving record of where the engine's time and states went.
+        try:
+            harvest_telemetry(telemetry_path, job, attempt, telemetry)
+        except Exception:
+            get_metrics().counter("service.telemetry.errors")
+        if obs.enabled:
+            # the parent budget is never charged in process isolation, so
+            # the states-explored histogram feeds from the child's last
+            # self-reported figure instead
+            states = handle.watch_stats()["last_beat"].get("states")
+            if states:
+                obs.histogram(
+                    "service.states_explored",
+                    float(states),
+                    buckets=DEFAULT_SIZE_BUCKETS,
+                )
+        if handle.kill_reason == "cancelled":
+            raise BudgetExceededError(
+                f"sandboxed attempt for {job!r} cancelled by the service",
+                reason="cancelled",
+            )
+        verdict = classify_exit(handle)
+        if tr.enabled:
+            tr.instant(
+                "sandbox",
+                "verdict",
+                job=job,
+                attempt=attempt,
+                kind=verdict.kind,
+                exit_status=verdict.exit_status,
+            )
+        if verdict.kind != VERDICT_COMPLETED:
+            obs.counter(f"sandbox.{verdict.kind.replace('-', '_')}")
+            raise SandboxFailure(verdict)
+        try:
+            payload = read_json(result_path, ValueError, "sandbox result")
+            if not isinstance(payload, dict):
+                raise ValueError(f"{result_path}: not a JSON object")
+        except ValueError as error:
+            crashed = SandboxVerdict(
+                VERDICT_CRASHED,
+                exit_status=0,
+                peak_rss_kb=verdict.peak_rss_kb,
+                beats=verdict.beats,
+                reason=f"child exited 0 but its result is unreadable: {error}",
+            )
+            obs.counter("sandbox.crashed")
+            raise SandboxFailure(crashed) from error
+        obs.counter("sandbox.completed")
+        payload["sandbox_verdict"] = verdict.to_dict()
+        return payload
+    finally:
+        # the verdict is classified and the telemetry harvested: the
+        # attempt's files have nothing left to tell
+        _discard(request_path, heartbeat_path, result_path, telemetry_path)
+
+
+def _discard(*paths: str) -> None:
+    for path in paths:
+        try:
+            os.unlink(path)
+        except OSError:
+            pass

@@ -27,9 +27,9 @@ The request spec holds the attempt spec :func:`run_attempt` reads
 fields: ``budget``, ``limits``, the heartbeat, result and telemetry
 paths and the heartbeat interval.  The spec is read and the outcome
 file written through :mod:`repro.durable`, so the parent never reads a
-torn result and an unreadable spec (missing, torn, not UTF-8) exits
-:data:`~repro.exitcodes.EXIT_SPEC`; everything else about the protocol
-is documented in :mod:`repro.service.sandbox`.
+torn result and an unreadable spec (missing, torn, not UTF-8, not an
+object) exits :data:`~repro.exitcodes.EXIT_SPEC`; everything else
+about the protocol is documented in :mod:`repro.service.sandbox`.
 """
 
 from __future__ import annotations
@@ -270,6 +270,8 @@ def main(argv: Optional[list] = None) -> int:
         return EXIT_SPEC
     try:
         spec = read_json(argv[0], ValueError, "request spec")
+        if not isinstance(spec, dict):
+            return EXIT_SPEC
         result_path = spec["result_path"]
         heartbeat_path = spec["heartbeat_path"]
     except (ValueError, KeyError):

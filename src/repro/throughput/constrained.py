@@ -46,7 +46,6 @@ from repro.throughput.kernel import (  # busy_time, gated_finish: re-exported
     Tile,
     busy_time,
     gated_finish,
-    seen_from_json,
     seen_to_json,
 )
 
@@ -253,7 +252,7 @@ def constrained_throughput(
         ]
         state.completed = list(engine["completed"])
         state.zero_starts = engine["zero_firings"]
-        state.seen = kernel.convert_seen(seen_from_json(engine["seen"]), to_work=False)
+        kernel.restore(state, engine["seen"], engine.get("steps"))
     try:
         result = ConstrainedThroughputResult(
             **vars(kernel.run(state, max_states, budget))
@@ -277,6 +276,7 @@ def constrained_throughput(
                 "schedule_pos": list(state.dispatch),
                 "completed": list(state.completed),
                 "zero_firings": state.zero_starts,
+                "steps": state.steps,
                 "seen": seen_to_json(kernel.convert_seen(state.seen, to_work=True)),
             },
             "budget": budget.usage() if budget is not None else None,
@@ -307,7 +307,7 @@ def constrained_throughput(
         obs.counter("constrained.states", result.states_explored)
         obs.counter("constrained.zero_time_firings", state.zero_starts)
         obs.counter("constrained.enablement_checks", state.enablement_checks)
-        obs.gauge("constrained.hash_set_size", result.states_explored)
+        obs.gauge("constrained.hash_set_size", len(state.seen))
         obs.gauge("constrained.transient_time", result.transient_time)
         obs.gauge("constrained.period", result.period or 0)
         if result.deadlocked:

@@ -33,15 +33,23 @@ actors and ``P`` the largest phase count: the next event is
 ``calendar[0] // (n * P)``, and the firings that end then are the
 calendar's prefix, in actor order.
 
-After the starts of each instant the state (tokens, firings in
-progress, schedule positions or ready lists, wheel phases, next phases)
-is hashed; the first repeated state closes the periodic phase.  The
-unbound firings enter the key as the calendar minus ``time * n * P``,
-one flat tuple of (time to completion, actor, phase) codes, and a tile
-firing as its time to completion, which the wheel phases map
-one-to-one onto remaining work.  :meth:`Kernel.convert_seen` turns both
-into the remaining-work key of checkpoints and back.  Front ends turn
-the result into certificates, checkpoints and metrics.
+After the starts of an instant the state (tokens, firings in progress,
+schedule positions or ready lists, wheel phases, next phases) is keyed
+and stored; the first repeated key closes the periodic phase.  When
+actor 0 shares one strongly connected component with every actor (the
+*reference*, :attr:`Kernel.reference`), only the instants at which it
+has completed a firing since the last stored key are keyed, and the
+exploration's first instant: every period of a live execution holds
+such an instant, and they repeat with the period, so the first
+repeated key closes the same period with the same firings; only the
+transient ends later, at the first key stored in the periodic phase
+(THEORY, "Sampled recurrence").  The other instants are still stepped
+and counted.  The unbound firings enter the key as the calendar minus
+``time * n * P``, one flat tuple of (time to completion, actor, phase)
+codes, and a tile firing as its time to completion, which the wheel
+phases map one-to-one onto remaining work.  :meth:`Kernel.convert_seen`
+turns both into the remaining-work key of checkpoints and back.  Front
+ends turn the result into certificates, checkpoints and metrics.
 """
 
 from __future__ import annotations
@@ -62,7 +70,7 @@ BURST_LIMIT = 1_000_000
 #: completion instant of a tile firing that never completes (zero slice)
 NEVER = float("inf")
 
-#: visited state -> (time, completed firings per actor) at first visit
+#: stored state key -> (time, completed firings per actor) at first visit
 Seen = Dict[Tuple, Tuple[int, Tuple[int, ...]]]
 
 
@@ -156,6 +164,31 @@ def seen_from_json(data: Sequence) -> Seen:
     return {freeze(key): (when, tuple(counts)) for key, (when, counts) in data}
 
 
+def _reference_actor(
+    successors: Sequence[int], predecessors: Sequence[int]
+) -> Optional[int]:
+    """0 when actor 0 reaches every actor along the channels and every
+    actor reaches it, else None.  ``successors[a]`` and
+    ``predecessors[a]`` are bit sets of the actors that a channel leads
+    to from ``a`` and into ``a``."""
+    every = (1 << len(successors)) - 1
+    if not every:
+        return None
+    for adjacent in (successors, predecessors):
+        reached = frontier = 1
+        while frontier:
+            step = 0
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                step |= adjacent[low.bit_length() - 1]
+            frontier = step & ~reached
+            reached |= step
+        if reached != every:
+            return None
+    return 0
+
+
 @dataclass(frozen=True)
 class Tile:
     """A tile as the kernel sees it: TDMA slice plus static order."""
@@ -192,6 +225,8 @@ class Frontier:
     #: or its ready list
     dispatch: List[Any]
     seen: Seen = field(default_factory=dict)
+    #: instants visited so far, keyed or not
+    steps: int = 0
     #: firing starts so far
     starts: int = 0
     #: zero-duration firings of actors bound to no tile
@@ -287,17 +322,25 @@ class Kernel:
         self.outputs: List[List[List[Tuple[int, int, int]]]] = [
             [[] for _ in t] for t in self.times
         ]
+        successors = [0] * len(self.actors)
+        predecessors = [0] * len(self.actors)
         for number, (src, dst, produced, consumed, _) in enumerate(channels):
-            tile = self.tile_of[index[dst]]
+            a, b = index[src], index[dst]
+            successors[a] |= self.bits[b]
+            predecessors[b] |= self.bits[a]
+            tile = self.tile_of[b]
             bit = self.bits[
-                index[dst] if tile is None or ready_list else len(self.actors) + tile
+                b if tile is None or ready_list else len(self.actors) + tile
             ]
             for phase, rate in enumerate(produced):
                 if rate:
-                    self.outputs[index[src]][phase].append((number, rate, bit))
+                    self.outputs[a][phase].append((number, rate, bit))
             for phase, rate in enumerate(consumed):
                 if rate:
-                    self.inputs[index[dst]][phase].append((number, rate))
+                    self.inputs[b][phase].append((number, rate))
+        #: the actor whose completions decide which instants :meth:`run`
+        #: keys, or None to key every instant
+        self.reference = _reference_actor(successors, predecessors)
         self.on_firing = on_firing
         self.on_step = on_step
         #: per tile, the actors started on it (ready-list policy only)
@@ -409,6 +452,29 @@ class Kernel:
             converted[key] = value
         return converted
 
+    def restore(self, state: Frontier, seen: Sequence, steps: Optional[int]) -> None:
+        """Load a checkpoint's visited map (:func:`seen_to_json` form,
+        remaining-work keys) and step count into ``state``.
+
+        A checkpoint without ``steps`` keyed every instant, one entry
+        per step: it keeps, in time order, the first entry and each one
+        whose reference count rose, the keys :meth:`run` would have
+        stored.
+        """
+        loaded = seen_from_json(seen)
+        if steps is None:
+            steps, ref = len(loaded), self.reference
+            if ref is not None:
+                kept: Seen = {}
+                mark = -1
+                for key, value in sorted(loaded.items(), key=lambda e: e[1][0]):
+                    if value[1][ref] != mark:
+                        kept[key] = value
+                        mark = value[1][ref]
+                loaded = kept
+        state.seen = self.convert_seen(loaded, to_work=False)
+        state.steps = steps
+
     def run(
         self,
         state: Frontier,
@@ -419,7 +485,9 @@ class Kernel:
         """Continue the execution in ``state``.
 
         Returns the :class:`ExecutionResult` (without certificate) at
-        the first recurrent state or deadlock.  With ``until=(actor,
+        the first recurrent state or deadlock; its ``states_explored``
+        counts the instants visited before it, and ``max_states`` caps
+        them.  With ``until=(actor,
         firings)`` the run keeps no visited map, caps events instead of
         states, and returns the time at which ``actor`` completes
         ``firings`` firings, or None when the graph deadlocks first.
@@ -438,7 +506,11 @@ class Kernel:
         phased = most > 1
         tokens, phase = state.tokens, state.phase
         completed, dispatch = state.completed, state.dispatch
-        seen, time = state.seen, state.time
+        seen, time, steps = state.seen, state.time, state.steps
+        # the reference's completion count at the last stored key (the
+        # latest entry of ``seen``), -1 before the first
+        ref = self.reference
+        mark = next(reversed(seen.values()))[1][ref] if seen and ref is not None else -1
         # the unbound firings' completion calendar, and the codes of one
         # time unit
         n = len(times)
@@ -479,7 +551,7 @@ class Kernel:
                     except BudgetExceededError as error:
                         error.partial.setdefault("graph", self.name)
                         if explore:
-                            error.partial.setdefault("states_explored", len(seen))
+                            error.partial.setdefault("states_explored", steps)
                         else:
                             error.partial.setdefault("events", events)
                         raise
@@ -615,33 +687,40 @@ class Kernel:
 
                 # -- recurrence (or the target completion count)
                 if explore:
-                    now = time * span
-                    key: Tuple = (tuple(tokens), tuple([e - now for e in calendar]))
-                    if tiles:
-                        key += (
-                            tuple([f and (f[0], f[1] - time) for f in tile_active]),
-                            tuple([tuple(q) for q in dispatch])
-                            if ready_list
-                            else tuple(dispatch),
-                            tuple([time % w for w in wheels]),
+                    if ref is None or completed[ref] != mark:
+                        now = time * span
+                        key: Tuple = (
+                            tuple(tokens),
+                            tuple([e - now for e in calendar]),
                         )
-                    if phased:
-                        key += (tuple(phase),)
-                    first = seen.get(key)
-                    if first is not None:
-                        return ExecutionResult(
-                            transient_time=first[0],
-                            period=time - first[0],
-                            period_firings={
-                                actor: done - before
-                                for actor, done, before in zip(
-                                    self.actors, completed, first[1]
-                                )
-                            },
-                            states_explored=len(seen),
-                        )
-                    seen[key] = (time, tuple(completed))
-                    if len(seen) > max_states:
+                        if tiles:
+                            key += (
+                                tuple([f and (f[0], f[1] - time) for f in tile_active]),
+                                tuple([tuple(q) for q in dispatch])
+                                if ready_list
+                                else tuple(dispatch),
+                                tuple([time % w for w in wheels]),
+                            )
+                        if phased:
+                            key += (tuple(phase),)
+                        first = seen.get(key)
+                        if first is not None:
+                            return ExecutionResult(
+                                transient_time=first[0],
+                                period=time - first[0],
+                                period_firings={
+                                    actor: done - before
+                                    for actor, done, before in zip(
+                                        self.actors, completed, first[1]
+                                    )
+                                },
+                                states_explored=steps,
+                            )
+                        seen[key] = (time, tuple(completed))
+                        if ref is not None:
+                            mark = completed[ref]
+                    steps += 1
+                    if steps > max_states:
                         raise StateSpaceExplosionError(
                             f"exceeded {max_states} states on graph "
                             f"{self.name!r} (channels unbounded or budget "
@@ -661,7 +740,7 @@ class Kernel:
                             transient_time=time,
                             period=None,
                             period_firings={},
-                            states_explored=len(seen),
+                            states_explored=steps,
                             deadlocked=True,
                         )
                     return None
@@ -706,6 +785,7 @@ class Kernel:
                     )
         finally:
             state.time = time
+            state.steps = steps
             state.enablement_checks += checks
             state.active = self._active(calendar, time)
             state.tile_active = [

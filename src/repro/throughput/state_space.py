@@ -51,7 +51,6 @@ from repro.throughput.kernel import (  # StateSpaceExplosionError: re-exported
     Kernel,
     StateSpaceExplosionError,
     phase_times,
-    seen_from_json,
     seen_to_json,
 )
 
@@ -200,9 +199,7 @@ class SelfTimedExecution:
             if phased:
                 state.phase = list(resume["phase"])
             state.starts = resume["firing_starts"]
-            state.seen = kernel.convert_seen(
-                seen_from_json(resume["seen"]), to_work=False
-            )
+            kernel.restore(state, resume["seen"], resume.get("steps"))
         try:
             result = self._run(state)
         except BudgetExceededError as error:
@@ -214,6 +211,7 @@ class SelfTimedExecution:
                 "active": [list(firing) for firing in state.active],
                 "completed": list(state.completed),
                 "firing_starts": state.starts,
+                "steps": state.steps,
                 "seen": seen_to_json(kernel.convert_seen(state.seen, to_work=True)),
             }
             if phased:
@@ -249,7 +247,7 @@ class SelfTimedExecution:
             obs.counter("state_space.executions")
             obs.counter("state_space.states", result.states_explored)
             obs.counter("state_space.firing_starts", self.firing_starts)
-            obs.gauge("state_space.hash_set_size", result.states_explored)
+            obs.gauge("state_space.hash_set_size", len(state.seen))
             obs.gauge("state_space.transient_time", result.transient_time)
             obs.gauge("state_space.period", result.period or 0)
             if result.deadlocked:

@@ -28,12 +28,20 @@ half-way; one constrained run interrupted a state before its
 recurrence, whose visited map already holds the recurrent state with a
 TDMA-gated tile firing in progress; and one self-timed run of a small
 ring interrupted where two actors are busy, one of them with several
-firings in flight.  The fixture records the result an uninterrupted run
-reports for each.
+firings in flight.  Those four were written by engines that keyed
+every instant; the ``*_sampled.json`` pair repeats the last two
+interruptions with the engine that keys only reference completions
+and records ``steps``.  A file is written once and never rewritten;
+the fixture records the result an uninterrupted run of each file's own
+inputs reports.
 
 Regenerate, only when an output change is intended::
 
     PYTHONPATH=src python -m tests.engine_golden
+
+This recomputes every output from the stored inputs, which stay as
+they were recorded (today's allocator makes fewer probes than the one
+that recorded them); delete the fixture to record the inputs afresh.
 """
 
 from __future__ import annotations
@@ -49,7 +57,7 @@ from types import SimpleNamespace
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.csdf.random_csdf import random_csdf
-from repro.csdf.serialization import csdf_from_dict, csdf_to_dict
+from repro.csdf.serialization import csdf_from_dict, csdf_to_dict, is_csdf_document
 from repro.csdf.throughput import csdf_throughput
 from repro.extensions.latency import output_latency
 from repro.generate.random_sdf import RandomSDFParameters, random_sdfg
@@ -73,12 +81,18 @@ from repro.throughput.state_space import (
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 GOLDEN = FIXTURES / "engine_golden.json"
-CHECKPOINTS = {
-    "state-space": "checkpoint_v1_state_space.json",
-    "constrained": "checkpoint_v1_constrained.json",
-}
-RECURRENT_CHECKPOINT = "checkpoint_v1_constrained_recurrent.json"
-CONCURRENT_CHECKPOINT = "checkpoint_v1_state_space_concurrent.json"
+#: the checkpoint files the current engine writes byte for byte
+RECURRENT_CHECKPOINT = "checkpoint_v1_constrained_recurrent_sampled.json"
+CONCURRENT_CHECKPOINT = "checkpoint_v1_state_space_concurrent_sampled.json"
+#: every checkpoint fixture as (kind, interruption, file), oldest first
+CHECKPOINTS = [
+    ("state-space", "half-way", "checkpoint_v1_state_space.json"),
+    ("constrained", "half-way", "checkpoint_v1_constrained.json"),
+    ("constrained", "recurrent", "checkpoint_v1_constrained_recurrent.json"),
+    ("state-space", "concurrent", "checkpoint_v1_state_space_concurrent.json"),
+    ("constrained", "recurrent", RECURRENT_CHECKPOINT),
+    ("state-space", "concurrent", CONCURRENT_CHECKPOINT),
+]
 #: largest state count of a recorded zero-time constrained case (traces
 #: grow with the states)
 TRACED_STATES = 600
@@ -657,76 +671,108 @@ def _recurrent_case(corpus: _Corpus) -> Dict[str, Any]:
     return min(candidates, key=lambda case: case["out"]["states"])
 
 
+def _uninterrupted(kind: str, checkpoint: Dict[str, Any]) -> Any:
+    """The run a checkpoint interrupted, from its own inputs."""
+    if kind == "constrained":
+        return constrained_throughput(
+            graph_from_dict(checkpoint["graph"]),
+            _tiles(checkpoint["tiles"]),
+            max_states=checkpoint["max_states"],
+        )
+    document = checkpoint["graph"]
+    graph = (
+        csdf_from_dict(document)
+        if is_csdf_document(document)
+        else graph_from_dict(document)
+    )
+    return throughput(
+        graph,
+        checkpoint["execution_times"],
+        checkpoint["auto_concurrency"],
+        max_states=checkpoint["max_states"],
+    )
+
+
 def _record_checkpoints(corpus: _Corpus) -> List[Dict[str, Any]]:
-    """Interrupt explorations and store their checkpoints: one per kind
+    """Interrupt explorations and store their checkpoints (a file that
+    exists is kept as the engine of its time wrote it): one per kind
     half-way, one constrained run a state before its recurrence, and the
     concurrent ring at the last state whose frontier is
     :func:`overlapping`."""
-    entries = []
-    sdf = max(
-        (
+    cases = {
+        "half-way state-space": max(
+            (
+                case
+                for case in corpus.cases["self_timed"]
+                if case["auto_concurrency"]
+                and "error" not in case["out"]["throughput"]
+            ),
+            key=lambda case: case["out"]["throughput"]["states"],
+        ),
+        "half-way constrained": max(
+            (
+                case
+                for case in corpus.cases["constrained"]
+                if "error" not in case["out"] and case["out"]["states"] <= 120
+            ),
+            key=lambda case: case["out"]["states"],
+        ),
+        "concurrent state-space": next(
             case
             for case in corpus.cases["self_timed"]
-            if case["auto_concurrency"] and "error" not in case["out"]["throughput"]
+            if case.get("source") == "concurrent-ring" and case["auto_concurrency"]
         ),
-        key=lambda case: case["out"]["throughput"]["states"],
-    )
-    constrained = max(
-        (
-            case
-            for case in corpus.cases["constrained"]
-            if "error" not in case["out"] and case["out"]["states"] <= 120
-        ),
-        key=lambda case: case["out"]["states"],
-    )
-    recurrent = _recurrent_case(corpus)
-    concurrent = next(
-        case
-        for case in corpus.cases["self_timed"]
-        if case.get("source") == "concurrent-ring" and case["auto_concurrency"]
-    )
-    for kind, case, name in (
-        ("state-space", sdf, CHECKPOINTS["state-space"]),
-        ("constrained", constrained, CHECKPOINTS["constrained"]),
-        ("constrained", recurrent, RECURRENT_CHECKPOINT),
-        ("state-space", concurrent, CONCURRENT_CHECKPOINT),
-    ):
-        graph = _sdf(case, corpus.graphs)
-        if kind == "state-space":
-            states = case["out"]["throughput"]["states"]
-            run = lambda budget: throughput(graph, budget=budget)  # noqa: E731
-        else:
-            states = case["out"]["states"]
-            tiles = _tiles(case["tiles"])
-            run = lambda budget: constrained_throughput(  # noqa: E731
-                graph, tiles, max_states=case["max_states"], budget=budget
-            )
-        if case is recurrent:
-            limits: Any = [states - 1]
-        elif case is concurrent:
-            limits = range(states - 1, 0, -1)
-        else:
-            limits = [states // 2]
-        for limit in limits:
-            try:
-                run(Budget(max_states=limit))
-            except BudgetExceededError as error:
-                checkpoint = error.partial["checkpoint"]
-                if case is not concurrent or overlapping(
-                    checkpoint["engine_state"]["active"]
-                ):
-                    break
-        else:
-            raise AssertionError(f"{kind}: budget did not interrupt the run")
-        checkpoint["budget"]["elapsed"] = 0.0
-        # a checkpoint file stays as the engine of its time wrote it:
-        # later engines must still resume it
+    }
+    entries = []
+    for kind, interruption, name in CHECKPOINTS:
         if not (FIXTURES / name).exists():
-            (FIXTURES / name).write_text(json.dumps(checkpoint) + "\n")
-        entries.append(
-            {"kind": kind, "file": name, "out": resume_outcome(kind, run(None))}
-        )
+            _write_checkpoint(corpus, cases, kind, interruption, name)
+        checkpoint = json.loads((FIXTURES / name).read_text())
+        outcome = resume_outcome(kind, _uninterrupted(kind, checkpoint))
+        entries.append({"kind": kind, "file": name, "out": outcome})
     return entries
+
+
+def _write_checkpoint(
+    corpus: _Corpus,
+    cases: Dict[str, Dict[str, Any]],
+    kind: str,
+    interruption: str,
+    name: str,
+) -> None:
+    if interruption == "recurrent":
+        case = _recurrent_case(corpus)
+    else:
+        case = cases[f"{interruption} {kind}"]
+    graph = _sdf(case, corpus.graphs)
+    if kind == "state-space":
+        states = case["out"]["throughput"]["states"]
+        run = lambda budget: throughput(graph, budget=budget)  # noqa: E731
+    else:
+        states = case["out"]["states"]
+        tiles = _tiles(case["tiles"])
+        run = lambda budget: constrained_throughput(  # noqa: E731
+            graph, tiles, max_states=case["max_states"], budget=budget
+        )
+    if interruption == "recurrent":
+        limits: Any = [states - 1]
+    elif interruption == "concurrent":
+        limits = range(states - 1, 0, -1)
+    else:
+        limits = [states // 2]
+    for limit in limits:
+        try:
+            run(Budget(max_states=limit))
+        except BudgetExceededError as error:
+            checkpoint = error.partial["checkpoint"]
+            if interruption != "concurrent" or overlapping(
+                checkpoint["engine_state"]["active"]
+            ):
+                break
+    else:
+        raise AssertionError(f"{kind}: budget did not interrupt the run")
+    checkpoint["budget"]["elapsed"] = 0.0
+    (FIXTURES / name).write_text(json.dumps(checkpoint) + "\n")
 
 
 def record() -> Dict[str, Any]:
@@ -781,6 +827,20 @@ def record() -> Dict[str, Any]:
         if not case["source"].startswith("zero-")
         or case["out"].get("states", 0) <= TRACED_STATES
     ]
+    return _document(corpus)
+
+
+def refresh(golden: Dict[str, Any]) -> Dict[str, Any]:
+    """``golden`` with every output recomputed from its stored inputs."""
+    corpus = _Corpus()
+    corpus.graphs, corpus.cases = golden["graphs"], golden["cases"]
+    for kind, cases in corpus.cases.items():
+        for case in cases:
+            case["out"] = RUNNERS[kind](case, corpus.graphs)
+    return _document(corpus)
+
+
+def _document(corpus: _Corpus) -> Dict[str, Any]:
     checkpoints = _record_checkpoints(corpus)
     return {
         "format": "repro-engine-golden",
@@ -792,7 +852,7 @@ def record() -> Dict[str, Any]:
 
 
 def main() -> int:
-    golden = record()
+    golden = refresh(json.loads(GOLDEN.read_text())) if GOLDEN.exists() else record()
     GOLDEN.write_text(json.dumps(golden, indent=None, sort_keys=True) + "\n")
     counts = {kind: len(cases) for kind, cases in golden["cases"].items()}
     print(f"wrote {GOLDEN.name}: {counts}, {len(golden['graphs'])} graphs")

@@ -26,6 +26,7 @@ from repro.service import (
     SandboxVerdict,
     VERDICT_KINDS,
 )
+from repro.service import sandbox
 from repro.service.sandbox import (
     EXIT_CPU,
     EXIT_OOM,
@@ -33,6 +34,7 @@ from repro.service.sandbox import (
     SandboxHandle,
     _child_env,
     classify_exit,
+    run_sandboxed,
 )
 from repro.service.watchdog import HEALTH_DEGRADED, HEALTH_OK, Watchdog
 
@@ -446,6 +448,68 @@ def test_drain_parks_sandboxed_job_with_attempt_refunded(tmp_path):
     assert record["attempts"] == 0  # cancellation is the service's fault
     # and no orphaned child lingers past the drain
     assert service.watchdog.handles() == []
+
+
+class _NullWatchdog:
+    def register(self, handle):
+        pass
+
+    def unregister(self, handle):
+        pass
+
+
+def _spawn_instead(monkeypatch, source):
+    """Make ``run_sandboxed`` spawn ``python -c source <request spec>``."""
+    popen = subprocess.Popen
+    monkeypatch.setattr(
+        sandbox.subprocess,
+        "Popen",
+        lambda argv, **options: popen(
+            [sys.executable, "-c", source, argv[-1]], **options
+        ),
+    )
+
+
+def test_non_object_result_is_a_crashed_verdict(tmp_path, monkeypatch):
+    """Valid JSON that is not an object is no outcome: the child
+    crashed, exactly as if it had left a torn result."""
+    _spawn_instead(
+        monkeypatch,
+        "import json, sys\n"
+        "spec = json.load(open(sys.argv[1]))\n"
+        "json.dump([1, 2], open(spec['result_path'], 'w'))\n",
+    )
+    with pytest.raises(SandboxFailure) as failure:
+        run_sandboxed(
+            str(tmp_path), "job-000001", 1, {}, {}, {}, _NullWatchdog()
+        )
+    assert failure.value.verdict.kind == "crashed"
+    assert "not a JSON object" in failure.value.verdict.reason
+
+
+def test_non_object_request_spec_exits_with_the_spec_code(tmp_path):
+    from repro.service.sandbox_child import main
+
+    path = tmp_path / "job-000001.a1.request.json"
+    path.write_text("[1]")
+    assert main([str(path)]) == EXIT_SPEC
+
+
+def test_sandbox_spool_is_emptied_after_every_verdict(tmp_path, monkeypatch):
+    service = _service(tmp_path, retry=ONE_SHOT)
+    spool = tmp_path / "spool" / "sandbox"
+    try:
+        record = service.wait(service.submit(*fast_request()), timeout=120)
+        assert record["sandbox_verdict"]["kind"] == "completed"
+        assert os.listdir(spool) == []
+        _spawn_instead(monkeypatch, "import sys; sys.exit(1)")
+        record = service.wait(
+            service.submit(*slow_request(macroblocks=4)), timeout=120
+        )
+        assert record["sandbox_verdict"]["kind"] == "crashed"
+        assert os.listdir(spool) == []
+    finally:
+        service.drain(cancel_running=True)
 
 
 def test_sandbox_failure_carries_verdict():
