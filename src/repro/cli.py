@@ -15,13 +15,17 @@ Sub-commands::
     repro-alloc submit APP.json ARCH.json     # job submission client
     repro-alloc status --spool DIR            # live one-screen service view
 
-Every sub-command accepts ``--metrics PATH`` to dump the observability
-snapshot (see ``docs/OBSERVABILITY.md``) collected during the run,
-``--trace PATH`` to record event-level tracing as a Chrome/Perfetto
-trace file, and ``--checkpoint PATH`` / ``--resume PATH`` to persist
-and continue interrupted explorations (see ``docs/VERIFICATION.md``).
-Both the metrics snapshot and the trace are written even when the run
-fails, so a budget-exhausted run still leaves its evidence behind.
+Every sub-command but ``profile`` and ``bench`` accepts ``--metrics
+PATH`` to dump the observability snapshot (see
+``docs/OBSERVABILITY.md``) collected during the run, and ``--trace
+PATH`` to record event-level tracing as a Chrome/Perfetto trace file
+(``profile`` takes ``--trace`` too).  Both are written even when the
+run fails, so a budget-exhausted run still leaves its evidence behind.
+The commands that run a budgeted search (``analyse``, ``allocate``,
+``allocate-file``, ``example``, ``profile``, ``serve``, ``submit``)
+take ``--deadline`` / ``--max-states``; ``analyse`` and ``allocate``
+also take ``--checkpoint PATH`` / ``--resume PATH`` to persist and
+continue interrupted runs (see ``docs/VERIFICATION.md``).
 Graphs are exchanged in the JSON dialect of
 :mod:`repro.sdf.serialization`.
 
@@ -667,33 +671,19 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_submit(args: argparse.Namespace) -> int:
-    import os
     import time
     import urllib.error
     import urllib.request
+
+    from repro.service.journal import TERMINAL_STATES
 
     with open(args.application) as handle:
         application = json.load(handle)
     with open(args.architecture) as handle:
         architecture = json.load(handle)
-    if args.server:
-        url = args.server.rstrip("/")
-    else:
-        if not args.spool:
-            raise ValueError("submit needs --server URL or --spool DIR")
-        endpoint_path = os.path.join(args.spool, "endpoint.json")
-        try:
-            with open(endpoint_path) as handle:
-                url = json.load(handle)["url"].rstrip("/")
-        except FileNotFoundError:
-            print(
-                f"repro-alloc: no endpoint.json in {args.spool} — the "
-                "daemon is not running (it retracts the announcement "
-                "on shutdown); start it with `repro-alloc serve "
-                f"--spool {args.spool}`",
-                file=sys.stderr,
-            )
-            return 2
+    url = _service_url(args)
+    if url is None:
+        return 2
     body = {"application": application, "architecture": architecture}
     if args.deadline is not None:
         body["deadline"] = args.deadline
@@ -763,12 +753,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
             f"{url}/jobs/{job_id}", timeout=30
         ) as response:
             record = json.loads(response.read())
-        if record["state"] in (
-            "certified",
-            "degraded",
-            "failed",
-            "quarantined",
-        ):
+        if record["state"] in TERMINAL_STATES:
             json.dump(record, sys.stdout, indent=2)
             print()
             return 0 if record["state"] in ("certified", "degraded") else 2
@@ -928,8 +913,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # shared by every sub-command: dump the metrics snapshot of the run
-    common = argparse.ArgumentParser(add_help=False)
+    # shared by every sub-command: one-line diagnostics unless --debug
+    debug = argparse.ArgumentParser(add_help=False)
+    debug.add_argument(
+        "--debug",
+        action="store_true",
+        help="show full tracebacks instead of one-line diagnostics",
+    )
+    # shared by all but profile and bench: dump the metrics snapshot
+    # and the trace of the run
+    common = argparse.ArgumentParser(add_help=False, parents=[debug])
     common.add_argument(
         "--metrics",
         metavar="PATH",
@@ -942,10 +935,41 @@ def build_parser() -> argparse.ArgumentParser:
         help="record event-level tracing during the run and write a "
         "Chrome/Perfetto trace file to PATH",
     )
-    _add_robustness_flags(common)
+    # the commands that run a budgeted search
+    budget = argparse.ArgumentParser(add_help=False)
+    budget.add_argument(
+        "--deadline",
+        type=float,
+        metavar="SECONDS",
+        help="wall-clock budget for the run; exhausting it exits with "
+        "status 3",
+    )
+    budget.add_argument(
+        "--max-states",
+        type=int,
+        metavar="N",
+        help="state budget for the exploration engines (summed across "
+        "all engine calls); exhausting it exits with status 3",
+    )
+    # the commands that can continue an interrupted run
+    checkpoint = argparse.ArgumentParser(add_help=False)
+    checkpoint.add_argument(
+        "--checkpoint",
+        metavar="PATH",
+        help="persist the run's progress to PATH (analyse: the "
+        "interrupted exploration frontier; allocate: the committed "
+        "allocations) so it can be continued with --resume",
+    )
+    checkpoint.add_argument(
+        "--resume",
+        metavar="PATH",
+        help="continue a run from a checkpoint written via --checkpoint",
+    )
 
     analyse = sub.add_parser(
-        "analyse", help="compute SDFG throughput", parents=[common]
+        "analyse",
+        help="compute SDFG throughput",
+        parents=[common, budget, checkpoint],
     )
     analyse.add_argument("graph", help="path to a graph JSON file")
     analyse.add_argument(
@@ -970,7 +994,7 @@ def build_parser() -> argparse.ArgumentParser:
     allocate = sub.add_parser(
         "allocate",
         help="allocate a generated set until failure",
-        parents=[common],
+        parents=[common, budget, checkpoint],
     )
     allocate.add_argument(
         "--set",
@@ -1011,7 +1035,9 @@ def build_parser() -> argparse.ArgumentParser:
     allocate.set_defaults(func=_cmd_allocate)
 
     example = sub.add_parser(
-        "example", help="run the paper's running example", parents=[common]
+        "example",
+        help="run the paper's running example",
+        parents=[common, budget],
     )
     example.add_argument(
         "--weights",
@@ -1032,7 +1058,7 @@ def build_parser() -> argparse.ArgumentParser:
     allocate_file = sub.add_parser(
         "allocate-file",
         help="allocate one application JSON onto an architecture JSON",
-        parents=[common],
+        parents=[common, budget],
     )
     allocate_file.add_argument("application", help="application JSON file")
     allocate_file.add_argument("architecture", help="architecture JSON file")
@@ -1110,6 +1136,7 @@ def build_parser() -> argparse.ArgumentParser:
         "snapshot).  Profiles a graph JSON when given, the generated "
         "benchmark flow with --flow, or the paper's running example "
         "otherwise.",
+        parents=[debug, budget],
     )
     profile.add_argument(
         "graph",
@@ -1152,7 +1179,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also record event-level tracing and write a "
         "Chrome/Perfetto trace file to PATH",
     )
-    _add_robustness_flags(profile)
     profile.set_defaults(func=_cmd_profile)
 
     lint = sub.add_parser(
@@ -1229,6 +1255,7 @@ def build_parser() -> argparse.ArgumentParser:
         "previous report: deterministic regressions (more states, more "
         "throughput checks, changed results) exit with status 5; wall-"
         "time drift only warns unless --strict-time.",
+        parents=[debug],
     )
     bench.add_argument(
         "--label",
@@ -1265,11 +1292,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="treat wall-time drift over the threshold as a hard "
         "regression instead of a warning",
     )
-    bench.add_argument(
-        "--debug",
-        action="store_true",
-        help="show full tracebacks instead of one-line diagnostics",
-    )
     bench.set_defaults(func=_cmd_bench)
 
     serve = sub.add_parser(
@@ -1277,16 +1299,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the fault-tolerant allocation service daemon",
         description="Long-running allocation-as-a-service daemon: a "
         "durable job queue with supervised workers, retry/backoff, "
-        "admission control, checkpointed graceful drain (SIGTERM) and "
-        "a verified result cache.  See docs/SERVICE.md.",
-        parents=[common],
+        "admission control, graceful drain (SIGTERM) and a verified "
+        "result cache.  See docs/SERVICE.md.",
+        parents=[common, budget],
     )
     serve.add_argument(
         "--spool",
         required=True,
         metavar="DIR",
-        help="spool directory holding the job journal, engine "
-        "checkpoints and result cache (created if missing)",
+        help="spool directory holding the job journal and result "
+        "cache (created if missing)",
     )
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument(
@@ -1403,7 +1425,7 @@ def build_parser() -> argparse.ArgumentParser:
         "repro-alloc serve daemon.  Prints the job id (or, with "
         "--wait, the finished job record).  Exit codes: 0 accepted/"
         "finished soundly, 7 service overloaded, 2 anything else.",
-        parents=[common],
+        parents=[common, budget],
     )
     submit.add_argument("application", help="application JSON file")
     submit.add_argument("architecture", help="architecture JSON file")
@@ -1464,43 +1486,10 @@ def _add_backend_flag(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_robustness_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--deadline",
-        type=float,
-        metavar="SECONDS",
-        help="wall-clock budget for the run; exhausting it exits with "
-        "status 3",
-    )
-    parser.add_argument(
-        "--max-states",
-        type=int,
-        metavar="N",
-        help="state budget for the exploration engines (summed across "
-        "all engine calls); exhausting it exits with status 3",
-    )
-    parser.add_argument(
-        "--checkpoint",
-        metavar="PATH",
-        help="on budget exhaustion, persist the interrupted exploration "
-        "frontier to PATH so the run can be continued with --resume",
-    )
-    parser.add_argument(
-        "--resume",
-        metavar="PATH",
-        help="continue a run from a checkpoint written via --checkpoint",
-    )
-    parser.add_argument(
-        "--debug",
-        action="store_true",
-        help="show full tracebacks instead of one-line diagnostics",
-    )
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    debug = getattr(args, "debug", False)
+    debug = args.debug
     deadline = getattr(args, "deadline", None)
     max_states = getattr(args, "max_states", None)
     args.budget = (

@@ -17,7 +17,6 @@ as an ``"error"`` outcome rather than aborting the batch.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Any, Dict, Iterable, List, Optional, Union
@@ -139,13 +138,11 @@ def allocate_until_failure(
 
     With ``checkpoint_path`` set the flow is crash-safe: after every
     successful commit a flow checkpoint (kind ``"flow"``, the committed
-    allocations in full) is atomically rewritten at that path, and an
-    application interrupted mid-exploration leaves its engine frontier
-    in the name-scoped file ``{checkpoint_path}.{application}.json``
-    (removed again once that application eventually commits).  Passing
+    allocations in full) is atomically rewritten at that path.  Passing
     a previously written flow checkpoint as ``resume`` re-applies the
     recorded commits without re-running their searches and continues
-    with the remaining applications.
+    with the remaining applications; an application that was not
+    committed is searched again from the start.
 
     With ``preflight=True`` (default) every application first passes
     through the static analyser (:func:`repro.analysis.preflight_check`)
@@ -220,20 +217,12 @@ def allocate_until_failure(
         )
 
     def record_failure(
-        application: ApplicationGraph, record: Dict[str, object]
+        application: ApplicationGraph, record: Dict[str, object], span: Any
     ) -> bool:
         """Append a non-success record; True when the flow should stop."""
         result.application_stats.append(record)
-        if tr.enabled:
-            tr.complete(
-                "flow",
-                "application",
-                trace_started,
-                tr.now(),
-                application=application.name,
-                outcome=record["outcome"],
-                reason=record["reason"],
-            )
+        span.set("outcome", record["outcome"])
+        span.set("reason", record["reason"])
         if result.failed_application is None:
             result.failed_application = application.name
             result.failure_reason = record["reason"]  # type: ignore[assignment]
@@ -244,20 +233,15 @@ def allocate_until_failure(
             skip_restored[application.name] -= 1
             continue
         started = perf_counter()
-        trace_started = tr.now() if tr.enabled else 0.0
-        app_checkpoint = (
-            f"{checkpoint_path}.{application.name}.json"
-            if checkpoint_path is not None
-            else None
-        )
-        with obs.span("flow.application", application=application.name) as span:
+        with tr.span(
+            "flow", "application", application=application.name
+        ) as span:
             if preflight:
                 from repro.analysis.engine import preflight_check
 
                 gate = preflight_check(application, architecture)
                 if gate.has_errors:
                     obs.counter("flow.rejected")
-                    span.set("outcome", "rejected")
                     stop = record_failure(
                         application,
                         _stat(
@@ -266,6 +250,7 @@ def allocate_until_failure(
                             perf_counter() - started,
                             reason=f"statically infeasible: {gate.summary()}",
                         ),
+                        span,
                     )
                     if stop:
                         break
@@ -277,7 +262,6 @@ def allocate_until_failure(
                         architecture,
                         allocator=allocator,
                         budget=budget,
-                        checkpoint_path=app_checkpoint,
                         preflight=False,
                     )
                     allocation = resilient.allocation
@@ -292,7 +276,6 @@ def allocate_until_failure(
                 allocation.reservation.commit(architecture)
             except AllocationError as error:
                 obs.counter("flow.failures")
-                span.set("outcome", "failed")
                 stop = record_failure(
                     application,
                     _stat(
@@ -301,19 +284,13 @@ def allocate_until_failure(
                         perf_counter() - started,
                         reason=str(error),
                     ),
+                    span,
                 )
                 if stop:
                     break
                 continue
             except BudgetExceededError as error:
                 obs.counter("flow.budget_exhausted")
-                span.set("outcome", "budget-exhausted")
-                if app_checkpoint and error.partial.get("checkpoint"):
-                    from repro.resilience.checkpoint import write_checkpoint
-
-                    write_checkpoint(
-                        app_checkpoint, error.partial["checkpoint"]
-                    )
                 stop = record_failure(
                     application,
                     _stat(
@@ -322,13 +299,13 @@ def allocate_until_failure(
                         perf_counter() - started,
                         reason=str(error),
                     ),
+                    span,
                 )
                 if stop:
                     break
                 continue
             except Exception as error:  # noqa: BLE001 - isolation boundary
                 obs.counter("flow.errors")
-                span.set("outcome", "error")
                 span.set("error_type", type(error).__name__)
                 stop = record_failure(
                     application,
@@ -338,6 +315,7 @@ def allocate_until_failure(
                         perf_counter() - started,
                         reason=f"{type(error).__name__}: {error}",
                     ),
+                    span,
                 )
                 if stop:
                     break
@@ -348,8 +326,7 @@ def allocate_until_failure(
             if outcome == "degraded":
                 obs.counter("flow.degraded")
             span.set("outcome", outcome)
-            if rung is not None:
-                span.set("rung", rung)
+            span.set("rung", rung)
             record = _stat(
                 application.name,
                 outcome,
@@ -360,26 +337,10 @@ def allocate_until_failure(
                 rung=rung,
             )
             result.application_stats.append(record)
-            if tr.enabled:
-                tr.complete(
-                    "flow",
-                    "application",
-                    trace_started,
-                    tr.now(),
-                    application=application.name,
-                    outcome=outcome,
-                    rung=rung,
-                )
             completed.append(application.name)
             if checkpoint_path is not None:
                 from repro.appmodel.serialization import allocation_to_dict
 
-                # the committed allocation supersedes any frontier left
-                # behind by an earlier interrupted attempt
-                try:
-                    os.unlink(app_checkpoint)
-                except OSError:
-                    pass
                 committed_bundles.append(
                     allocation_to_dict(allocation, rung=rung)
                 )

@@ -25,6 +25,7 @@ from repro.core.scheduling import SchedulingError, build_static_order_schedules
 from repro.core.slices import SliceAllocationError, allocate_time_slices
 from repro.core.tile_cost import CostWeights
 from repro.obs import get_metrics
+from repro.obs.trace import get_trace
 from repro.resilience.budget import Budget, BudgetExceededError
 from repro.throughput.state_space import (
     DEFAULT_MAX_STATES,
@@ -96,13 +97,16 @@ class ResourceAllocator:
                 "(expected 'greedy' or 'exact')"
             )
         obs = get_metrics()
+        tr = get_trace()
         if budget is not None:
             budget.start()
         if self.backend == "exact":
             return self._allocate_exact(
                 application, architecture, binding, budget
             )
-        with obs.span("allocate", application=application.name) as span:
+        with tr.span(
+            "strategy", "allocate", application=application.name
+        ) as span:
             try:
                 if binding is None:
                     with obs.timer("allocate.binding"):
@@ -142,6 +146,7 @@ class ResourceAllocator:
             except BudgetExceededError as error:
                 if obs.enabled:
                     obs.counter("allocate.budget_exceeded")
+                if tr.enabled:
                     span.set("outcome", "budget-exhausted")
                     span.set("reason", error.reason)
                 raise
@@ -154,6 +159,7 @@ class ResourceAllocator:
             ) as error:
                 if obs.enabled:
                     obs.counter("allocate.failures")
+                if tr.enabled:
                     span.set("outcome", "failed")
                     span.set("reason", str(error))
                 raise AllocationError(
@@ -174,6 +180,7 @@ class ResourceAllocator:
             if obs.enabled:
                 obs.counter("allocate.successes")
                 obs.counter("allocate.throughput_checks", checks)
+            if tr.enabled:
                 span.set("outcome", "allocated")
                 span.set("throughput_checks", checks)
                 span.set("achieved_throughput", str(achieved))

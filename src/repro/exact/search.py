@@ -322,7 +322,6 @@ def exact_search(
 
     obs = get_metrics()
     tr = get_trace()
-    started = tr.now() if tr.enabled else 0.0
     constraint = application.throughput_constraint
     stats = _Stats()
     incumbent: Optional[_Incumbent] = None
@@ -361,23 +360,14 @@ def exact_search(
             obs.counter("exact.nodes_explored", stats.nodes)
             obs.counter("exact.nodes_pruned", stats.pruned)
             obs.counter("exact.leaves_evaluated", stats.leaves)
-            span.set("outcome", "feasible" if allocation else "infeasible")
-            span.set("nodes_explored", stats.nodes)
-            span.set("throughput_checks", stats.checks)
         if tr.enabled:
-            tr.complete(
-                "exact",
-                "search",
-                started,
-                tr.now(),
-                application=application.name,
-                feasible=allocation is not None,
-                cost=str(cost) if cost is not None else None,
-                nodes_explored=stats.nodes,
-                nodes_pruned=stats.pruned,
-                leaves_evaluated=stats.leaves,
-                throughput_checks=stats.checks,
-            )
+            span.set("outcome", "feasible" if allocation else "infeasible")
+            span.set("feasible", allocation is not None)
+            span.set("cost", str(cost) if cost is not None else None)
+            span.set("nodes_explored", stats.nodes)
+            span.set("nodes_pruned", stats.pruned)
+            span.set("leaves_evaluated", stats.leaves)
+            span.set("throughput_checks", stats.checks)
         return ExactSearchResult(
             allocation=allocation,
             cost=cost,
@@ -389,7 +379,7 @@ def exact_search(
             explosions=stats.explosions,
         )
 
-    with obs.span("exact.search", application=application.name) as span:
+    with tr.span("exact", "search", application=application.name) as span:
         # the fixed actors are the root node; demands only grow and the
         # bound only falls as the binding is extended, so a root whose
         # bound misses the constraint, or that violates §7, has no
@@ -518,6 +508,7 @@ def exact_search(
             error.partial.setdefault("exact", progress)
             if obs.enabled:
                 obs.counter("exact.budget_exceeded")
+            if tr.enabled:
                 span.set("outcome", "budget-exhausted")
                 span.set("reason", error.reason)
             raise

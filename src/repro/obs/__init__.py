@@ -39,7 +39,6 @@ from repro.obs.metrics import (
     MetricsLike,
     NULL_METRICS,
     NullMetrics,
-    Span,
     TimerStat,
     collecting,
     disable,
@@ -114,7 +113,6 @@ __all__ = [
     "REPORT_VERSION",
     "ReportError",
     "Sink",
-    "Span",
     "SummarySink",
     "TelemetryError",
     "TimerStat",

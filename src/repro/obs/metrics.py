@@ -1,16 +1,19 @@
-"""Metrics registry: counters, gauges, timers and nested spans.
+"""Metrics registry: counters, gauges, timers and histograms.
 
 The registry is deliberately tiny and dependency-free so it can stay
-permanently wired into the hot paths of the throughput engines.  Two
-implementations share one duck-typed API:
+permanently wired into the hot paths of the throughput engines.  It
+holds aggregates only, each bounded in size however long the process
+runs; timed, attributed sections of one run are trace events
+(:mod:`repro.obs.trace`).  Two implementations share one duck-typed
+API:
 
 * :class:`Metrics` — the real registry.  Counters accumulate, gauges
-  keep the last value, timers aggregate durations, and spans build a
-  tree of timed sections with attributes.
+  keep the last value, timers aggregate durations and histograms
+  bucket observations.
 * :class:`NullMetrics` — the module-level no-op used whenever
   instrumentation is disabled.  Every method returns immediately (the
-  span/timer objects are shared stateless singletons), so instrumented
-  code pays only an attribute lookup and an empty call.
+  timer object is a shared stateless singleton), so instrumented code
+  pays only an attribute lookup and an empty call.
 
 Instrumented code fetches the active registry with :func:`get_metrics`
 and, on hot paths, guards non-trivial bookkeeping behind the
@@ -30,7 +33,6 @@ and, on hot paths, guards non-trivial bookkeeping behind the
 from __future__ import annotations
 
 import random
-import threading
 import time
 from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Union
@@ -46,7 +48,6 @@ __all__ = [
     "HistogramStat",
     "Metrics",
     "NullMetrics",
-    "Span",
     "TimerStat",
     "collecting",
     "disable",
@@ -201,41 +202,6 @@ class HistogramStat:
         }
 
 
-class Span:
-    """One timed, attributed section; nests via the registry's stack."""
-
-    __slots__ = ("name", "attributes", "children", "seconds", "_metrics", "_start")
-
-    def __init__(self, name: str, metrics: "Metrics", attributes: Dict[str, Any]):
-        self.name = name
-        self.attributes = attributes
-        self.children: List["Span"] = []
-        self.seconds = 0.0
-        self._metrics = metrics
-        self._start = 0.0
-
-    def set(self, key: str, value: Any) -> None:
-        """Attach an attribute to the span (overwrites)."""
-        self.attributes[key] = value
-
-    def __enter__(self) -> "Span":
-        self._start = self._metrics._clock()
-        self._metrics._push(self)
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.seconds = self._metrics._clock() - self._start
-        self._metrics._pop(self)
-
-    def to_dict(self) -> Dict[str, Any]:
-        payload: Dict[str, Any] = {"name": self.name, "seconds": self.seconds}
-        if self.attributes:
-            payload["attributes"] = dict(self.attributes)
-        if self.children:
-            payload["children"] = [child.to_dict() for child in self.children]
-        return payload
-
-
 class _Timer:
     """Context manager feeding one duration into a named TimerStat."""
 
@@ -254,22 +220,19 @@ class _Timer:
         self._metrics.observe(self._name, self._metrics._clock() - self._start)
 
 
-class _NullSpan:
-    """Shared stateless no-op standing in for spans and timers."""
+class _NullTimer:
+    """Shared stateless no-op standing in for timers."""
 
     __slots__ = ()
 
-    def set(self, key: str, value: Any) -> None:
-        pass
-
-    def __enter__(self) -> "_NullSpan":
+    def __enter__(self) -> "_NullTimer":
         return self
 
     def __exit__(self, *exc_info: object) -> None:
         pass
 
 
-_NULL_SPAN = _NullSpan()
+_NULL_TIMER = _NullTimer()
 
 
 class NullMetrics:
@@ -294,11 +257,8 @@ class NullMetrics:
     ) -> None:
         pass
 
-    def timer(self, name: str) -> _NullSpan:
-        return _NULL_SPAN
-
-    def span(self, name: str, **attributes: Any) -> _NullSpan:
-        return _NULL_SPAN
+    def timer(self, name: str) -> _NullTimer:
+        return _NULL_TIMER
 
     def merge_snapshot(
         self, snapshot: Dict[str, Any], prefix: str = ""
@@ -311,7 +271,6 @@ class NullMetrics:
             "gauges": {},
             "timers": {},
             "histograms": {},
-            "spans": [],
         }
 
     def flush(self) -> None:
@@ -328,9 +287,9 @@ class Metrics:
     injectable for deterministic tests (defaults to
     :func:`time.perf_counter`).
 
-    All recording paths and the span stack take a single internal lock,
-    so several worker threads may share one registry without corrupting
-    snapshots.  The null registry stays lock-free.
+    All recording paths take a single internal lock, so several worker
+    threads may share one registry without corrupting snapshots.  The
+    null registry stays lock-free.
     """
 
     enabled = True
@@ -347,8 +306,6 @@ class Metrics:
         self._gauges: Dict[str, Any] = {}  # guarded-by: _lock
         self._timers: Dict[str, TimerStat] = {}  # guarded-by: _lock
         self._histograms: Dict[str, HistogramStat] = {}  # guarded-by: _lock
-        self._roots: List[Span] = []  # guarded-by: _lock
-        self._stack: List[Span] = []  # guarded-by: _lock
 
     # -- recording -----------------------------------------------------
     def counter(self, name: str, value: Number = 1) -> None:
@@ -405,9 +362,7 @@ class Metrics:
         prepended to every merged name — the sandbox harvest uses
         ``"child."`` so a child's ``state_space.states`` lands as
         ``child.state_space.states`` without colliding with the
-        daemon's own series.  Spans are not merged (they are trees tied
-        to the originating registry's stack); use the trace events for
-        cross-process timelines.
+        daemon's own series.
         """
         with self._lock:
             for name, value in snapshot.get("counters", {}).items():
@@ -429,33 +384,9 @@ class Metrics:
                     hist = self._histograms[key] = HistogramStat(bounds)
                 hist.merge(data)
 
-    def span(self, name: str, **attributes: Any) -> Span:
-        """Context manager opening a nested, attributed span."""
-        return Span(name, self, attributes)
-
-    # -- span stack (called by Span) -----------------------------------
-    def _push(self, span: Span) -> None:
-        with self._lock:
-            self._stack.append(span)
-
-    def _pop(self, span: Span) -> None:
-        with self._lock:
-            # tolerate out-of-order exits: unwind to the matching span
-            while self._stack:
-                top = self._stack.pop()
-                if top is span:
-                    break
-            if self._stack:
-                self._stack[-1].children.append(span)
-            else:
-                self._roots.append(span)
-
     # -- export --------------------------------------------------------
     def snapshot(self) -> Dict[str, Any]:
-        """JSON-ready view of everything recorded so far.
-
-        Open (unfinished) spans are not included.
-        """
+        """JSON-ready view of everything recorded so far."""
         with self._lock:
             return {
                 "counters": dict(self._counters),
@@ -467,7 +398,6 @@ class Metrics:
                     name: stat.to_dict()
                     for name, stat in self._histograms.items()
                 },
-                "spans": [span.to_dict() for span in self._roots],
             }
 
     def flush(self) -> None:
@@ -481,8 +411,6 @@ class Metrics:
             self._gauges.clear()
             self._timers.clear()
             self._histograms.clear()
-            self._roots.clear()
-            self._stack.clear()
 
 
 MetricsLike = Union[Metrics, NullMetrics]

@@ -87,8 +87,7 @@ def render_prometheus(snapshot: Dict[str, Any], prefix: str = "repro") -> str:
 
     Counter families whose sanitized names collide (``a.b`` vs ``a_b``)
     are summed; non-numeric gauges are skipped (the exposition format
-    has no string samples).  Spans are not exported — the Chrome trace
-    carries that structure.
+    has no string samples).
     """
     lines: List[str] = []
 

@@ -2,7 +2,7 @@
 
 A *run report* is the machine-readable record of one instrumented run:
 what was executed (``label`` + free-form ``result``), the metrics
-snapshot (counters, timer aggregates, span tree), a trace digest,
+snapshot (counters, gauges, timers, histograms), a trace digest,
 budget consumption, and an environment fingerprint (python, platform,
 git sha, seed) that makes perf numbers comparable across machines and
 commits.  ``repro-alloc bench`` emits its ``BENCH_<label>.json`` files

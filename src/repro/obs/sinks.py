@@ -73,20 +73,6 @@ class JsonSink(Sink):
             self.target.write(payload + "\n")
 
 
-def _format_span(span: Dict[str, Any], depth: int, lines: list) -> None:
-    attributes = span.get("attributes", {})
-    suffix = (
-        "  " + " ".join(f"{k}={v}" for k, v in attributes.items())
-        if attributes
-        else ""
-    )
-    lines.append(
-        f"  {'  ' * depth}{span['name']}: {span['seconds'] * 1e3:.2f} ms{suffix}"
-    )
-    for child in span.get("children", []):
-        _format_span(child, depth + 1, lines)
-
-
 def format_summary(snapshot: Dict[str, Any]) -> str:
     """Human-readable rendering of a snapshot (stable ordering)."""
     lines = []
@@ -120,11 +106,6 @@ def format_summary(snapshot: Dict[str, Any]) -> str:
             total = stat.get("sum", 0.0)
             mean = total / count if count else 0.0
             lines.append(f"  {name}: {count}x mean {mean:.4g} sum {total:.4g}")
-    spans = snapshot.get("spans", [])
-    if spans:
-        lines.append("spans:")
-        for span in spans:
-            _format_span(span, 0, lines)
     if not lines:
         return "(no metrics recorded)"
     return "\n".join(lines)

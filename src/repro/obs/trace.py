@@ -13,18 +13,21 @@ The same null-by-default pattern as the metrics registry applies:
 :func:`get_trace` returns the shared :data:`NULL_TRACE` no-op unless
 tracing was switched on, so the permanently wired call sites cost one
 attribute lookup plus an empty call when tracing is off (guarded by
-``tests/test_performance_guards.py``).  Hot loops additionally guard
-per-event bookkeeping behind the ``enabled`` attribute::
+``tests/test_performance_guards.py``).  A timed, attributed section is
+one :meth:`TraceBuffer.span` block, which records its complete event
+on every exit, exceptions included; attribute values that cost
+something are computed only behind the ``enabled`` attribute::
 
     tr = get_trace()
-    started = tr.now() if tr.enabled else 0.0
-    ...                                   # the actual work
-    if tr.enabled:
-        tr.complete("engine", "execute", started, tr.now(), states=n)
+    with tr.span("engine", "state_space.throughput", graph=name) as span:
+        ...                               # the actual work
+        if tr.enabled:
+            span.set("iteration_rate", str(rate))
 
 Event categories used across the repository (``docs/OBSERVABILITY.md``
 has the full catalogue): ``engine``, ``tdma``, ``checkpoint``,
-``resilience``, ``flow``, ``verify``.
+``resilience``, ``strategy``, ``flow``, ``exact``, ``verify``,
+``lint``, ``service``, ``sandbox``.
 """
 
 from __future__ import annotations

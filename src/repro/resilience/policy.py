@@ -185,7 +185,6 @@ def resilient_allocate(
     architecture: ArchitectureGraph,
     allocator: Optional[ResourceAllocator] = None,
     budget: Optional[Budget] = None,
-    checkpoint_path: Optional[str] = None,
     preflight: bool = True,
 ) -> ResilientResult:
     """Allocate ``application``, degrading through :data:`DEFAULT_LADDER`.
@@ -207,16 +206,10 @@ def resilient_allocate(
     fails with the baseline's :class:`AllocationError` (even the whole
     remaining wheels miss the constraint).
 
-    With ``checkpoint_path`` set, a rung that exhausts its budget
-    mid-exploration persists the exploration frontier the error carries
-    (``error.partial["checkpoint"]``) to that file before the ladder
-    descends, so the interrupted search can later be resumed via
-    :func:`repro.resilience.checkpoint.resume_from_checkpoint`.
-
     A *cancelled* budget (:meth:`Budget.cancel`, ``reason="cancelled"``)
     is different from an exhausted one: the caller asked for the work
-    to stop, so the frontier is checkpointed and the error re-raised —
-    the ladder never descends to the baseline over a cancellation.
+    to stop, so the error is re-raised — the ladder never descends to
+    the baseline over a cancellation.
     """
     if preflight:
         from repro.analysis.engine import preflight_check
@@ -278,15 +271,8 @@ def resilient_allocate(
         except BudgetExceededError as error:
             if error.reason == "cancelled":
                 # a cooperative cancellation (e.g. service drain) wants
-                # the work parked, not finished badly: persist the
-                # frontier for a later resume and surface the error
+                # the work parked, not finished badly: surface the error
                 # instead of descending to the budget-exempt baseline
-                if checkpoint_path and error.partial.get("checkpoint"):
-                    from repro.resilience.checkpoint import write_checkpoint
-
-                    write_checkpoint(
-                        checkpoint_path, error.partial["checkpoint"]
-                    )
                 raise
             attempts.append((rung.name, f"budget exhausted ({error.reason})"))
             if obs.enabled:
@@ -299,12 +285,6 @@ def resilient_allocate(
                     rung=rung.name,
                     position=position,
                     reason=f"budget exhausted ({error.reason})",
-                )
-            if checkpoint_path and error.partial.get("checkpoint"):
-                from repro.resilience.checkpoint import write_checkpoint
-
-                write_checkpoint(
-                    checkpoint_path, error.partial["checkpoint"]
                 )
             continue
         except AllocationError as error:

@@ -16,7 +16,7 @@ The contract, per attempt:
 * The parent writes a **request spec** (`<job>.a<n>.request.json`) and
   spawns ``python -m repro.service.sandbox_child`` on it
   (``service.sandbox.spawn`` fault point fires just before the spawn).
-  It holds the ``request``, ``backend`` and ``checkpoint_path`` that
+  It holds the ``request`` and ``backend`` that
   :func:`~repro.service.sandbox_child.run_attempt` reads, plus
   ``budget``, ``limits``, the heartbeat interval and the per-attempt
   file paths.

@@ -23,9 +23,9 @@ one allocation attempt inside OS-level containment:
    limit breaches end nonzero.
 
 The request spec holds the attempt spec :func:`run_attempt` reads
-(``request``, ``backend``, ``checkpoint_path``) plus the sandbox's own
-fields: ``budget``, ``limits``, the heartbeat, result and telemetry
-paths and the heartbeat interval.  The spec is read and the outcome
+(``request`` and ``backend``) plus the sandbox's own fields:
+``budget``, ``limits``, the heartbeat, result and telemetry paths and
+the heartbeat interval.  The spec is read and the outcome
 file written through :mod:`repro.durable`, so the parent never reads a
 torn result and an unreadable spec (missing, torn, not UTF-8, not an
 object) exits :data:`~repro.exitcodes.EXIT_SPEC`; everything else
@@ -196,7 +196,7 @@ def _heartbeat_loop(
 def run_attempt(spec: Dict[str, Any], budget: Any) -> Dict[str, Any]:
     """The service's one allocation pipeline; returns the outcome payload.
 
-    ``spec`` holds ``request``, ``backend`` and ``checkpoint_path``.
+    ``spec`` holds ``request`` and ``backend``.
     Typed negative answers come back with ``ok: false``; anything else
     propagates.  Thread-isolated workers call this directly.
     """
@@ -221,7 +221,6 @@ def run_attempt(spec: Dict[str, Any], budget: Any) -> Dict[str, Any]:
             architecture,
             allocator=ResourceAllocator(backend=spec["backend"]),
             budget=budget,
-            checkpoint_path=spec.get("checkpoint_path"),
             preflight=True,
         )
         bundle = bundle_to_dict(

@@ -162,8 +162,8 @@ class AllocationService:
     """Durable job queue + supervised worker pool over one spool dir.
 
     The spool directory holds everything the service needs to survive
-    a crash: ``jobs/`` (the journal), ``checkpoints/`` (interrupted
-    exploration frontiers) and ``cache/`` (the verified result cache).
+    a crash: ``jobs/`` (the journal) and ``cache/`` (the verified result
+    cache).
     """
 
     def __init__(
@@ -199,8 +199,6 @@ class AllocationService:
         os.makedirs(spool, exist_ok=True)
         self.journal = JobJournal(spool)
         self.cache = ResultCache(spool)
-        self.checkpoints_dir = os.path.join(spool, "checkpoints")
-        os.makedirs(self.checkpoints_dir, exist_ok=True)
         self.sandbox_dir = os.path.join(spool, "sandbox")
         self.retry = retry or RetryPolicy()
         self.backend = backend
@@ -306,9 +304,9 @@ class AllocationService:
         With ``cancel_running`` the active jobs' budgets are cancelled
         cooperatively (a sandboxed child is SIGKILLed) and each job is
         parked as ``queued`` with its attempt refunded.  The next daemon
-        recomputes a parked job from the start, bit-identically; it
-        does not resume from ``checkpoints/``.  Pending/backing-off jobs
-        stay ``queued`` in the journal untouched.  Idempotent.
+        recomputes a parked job from the start, bit-identically.
+        Pending/backing-off jobs stay ``queued`` in the journal
+        untouched.  Idempotent.
         """
         with self._lock:
             self._accepting = False
@@ -751,13 +749,7 @@ class AllocationService:
         routes them; a dead child surfaces as :class:`SandboxFailure`
         with its verdict.
         """
-        spec = {
-            "request": record["request"],
-            "backend": self.backend,
-            "checkpoint_path": os.path.join(
-                self.checkpoints_dir, f"{record['id']}.engine.json"
-            ),
-        }
+        spec = {"request": record["request"], "backend": self.backend}
         if self.isolation == "process":
             payload = run_sandboxed(
                 self.sandbox_dir,

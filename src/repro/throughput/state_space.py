@@ -297,8 +297,7 @@ def throughput(
     """
     obs = get_metrics()
     tr = get_trace()
-    trace_started = tr.now() if tr.enabled else 0.0
-    with obs.span("state_space.throughput", graph=graph.name) as span:
+    with tr.span("engine", "state_space.throughput", graph=graph.name) as span:
         gamma = repetition_vector(graph)
         components = strongly_connected_components(graph)
         # each component's actors and inner channels, in graph order
@@ -383,18 +382,9 @@ def throughput(
         )
         if obs.enabled:
             obs.counter("state_space.throughput_calls")
+        if tr.enabled:
             span.set("sccs", len(components))
             span.set("sccs_explored", len(rates))
             span.set("states", states)
             span.set("iteration_rate", str(outcome.iteration_rate))
-    if tr.enabled:
-        tr.complete(
-            "engine",
-            "state_space.throughput",
-            trace_started,
-            tr.now(),
-            graph=graph.name,
-            states=states,
-            iteration_rate=str(outcome.iteration_rate),
-        )
     return outcome

@@ -9,8 +9,9 @@ passes) are all reached that way; a cycle-enumeration cap, an exact
 slice-grid step and a buffer-trimming step once sat beside them with
 no caller at all.  The tests pin both sets, read the construction sites
 from source, and check that the removed parameters stay removed, the
-ladder's ``Rung.baseline`` flag among them (the baseline is the last
-rung by position), and that every cycle enumeration defaults to one cap.
+ladder's ``Rung.baseline`` flag and its engine-frontier
+``checkpoint_path`` among them (the baseline is the last rung by
+position), and that every cycle enumeration defaults to one cap.
 """
 
 import ast
@@ -97,6 +98,7 @@ def test_every_allocator_field_has_a_caller():
         (binding_order, "cycle_limit"),
         (actor_criticality, "cycle_limit"),
         (resilient_allocate, "ladder"),
+        (resilient_allocate, "checkpoint_path"),
         (allocate_until_failure, "ladder"),
     ],
     ids=lambda value: getattr(value, "__name__", value),

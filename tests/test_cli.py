@@ -100,6 +100,45 @@ def test_unknown_command_rejected():
         main(["bogus"])
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["example", "--resume", "x"],
+        ["example", "--checkpoint", "ck.json"],
+        ["trace", "--max-states", "1"],
+        ["dimension", "-n", "1", "--deadline", "0"],
+    ],
+)
+def test_flags_a_command_does_not_read_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_submit_with_an_empty_endpoint_gives_the_status_advice(
+    tmp_path, capsys
+):
+    from tests.service_helpers import fast_request
+
+    spool = tmp_path / "spool"
+    spool.mkdir()
+    (spool / "endpoint.json").write_text("{}")
+    application, architecture = fast_request()
+    app_path = tmp_path / "app.json"
+    arch_path = tmp_path / "arch.json"
+    app_path.write_text(json.dumps(application))
+    arch_path.write_text(json.dumps(architecture))
+    for argv in (
+        ["submit", str(app_path), str(arch_path), "--spool", str(spool)],
+        ["status", "--spool", str(spool)],
+    ):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "the daemon is not running" in err
+        assert f"repro-alloc serve --spool {spool}" in err
+
+
 def test_missing_graph_file_exits_2(tmp_path, capsys):
     assert main(["analyse", str(tmp_path / "missing.json")]) == 2
     err = capsys.readouterr().err
@@ -227,8 +266,11 @@ def test_trace_vcd_option(tmp_path, capsys):
     assert "VCD waveform" in capsys.readouterr().out
 
 
-def test_profile_graph_reports_states_and_timings(graph_file, capsys):
-    assert main(["profile", graph_file]) == 0
+def test_profile_graph_reports_states_and_timings(
+    graph_file, tmp_path, capsys
+):
+    trace_path = tmp_path / "trace.json"
+    assert main(["profile", graph_file, "--trace", str(trace_path)]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["result"]["mode"] == "analyse"
     assert report["result"]["iteration_rate"] == "1/5"
@@ -239,8 +281,11 @@ def test_profile_graph_reports_states_and_timings(graph_file, capsys):
         == report["result"]["states_explored"]
     )
     assert metrics["timers"]["state_space.execute"]["count"] >= 1
+    events = json.loads(trace_path.read_text())["traceEvents"]
     assert any(
-        span["name"] == "state_space.throughput" for span in metrics["spans"]
+        (event.get("cat"), event["name"])
+        == ("engine", "state_space.throughput")
+        for event in events
     )
 
 
@@ -301,11 +346,24 @@ def test_metrics_flag_writes_snapshot(graph_file, tmp_path, capsys):
 
 def test_metrics_flag_on_allocation_command(tmp_path, capsys):
     metrics_path = tmp_path / "metrics.json"
-    assert main(["example", "--metrics", str(metrics_path)]) == 0
+    trace_path = tmp_path / "trace.json"
+    assert main(
+        [
+            "example",
+            "--metrics",
+            str(metrics_path),
+            "--trace",
+            str(trace_path),
+        ]
+    ) == 0
     assert "binding:" in capsys.readouterr().out
     snapshot = json.loads(metrics_path.read_text())
     assert snapshot["counters"]["allocate.successes"] == 1
-    assert any(span["name"] == "allocate" for span in snapshot["spans"])
+    events = json.loads(trace_path.read_text())["traceEvents"]
+    assert any(
+        (event.get("cat"), event["name"]) == ("strategy", "allocate")
+        for event in events
+    )
 
 
 def test_metrics_collection_is_scoped_to_the_command(graph_file, tmp_path):

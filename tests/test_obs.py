@@ -9,15 +9,22 @@ from repro.obs import (
     JsonSink,
     Metrics,
     NULL_METRICS,
+    NULL_TRACE,
+    NullMetrics,
     NullSink,
     SummarySink,
+    TraceBuffer,
+    chrome_trace,
     collecting,
     disable,
     enable,
     format_summary,
     get_metrics,
     to_json,
+    tracing,
 )
+
+AGGREGATES = {"counters", "gauges", "timers", "histograms"}
 
 
 class FakeClock:
@@ -88,47 +95,20 @@ class TestTimers:
         assert timers["outer"]["total_seconds"] > timers["inner"]["total_seconds"]
 
 
-class TestSpans:
-    def test_span_nesting_builds_a_tree(self):
+class TestAggregatesOnly:
+    def test_snapshot_holds_only_the_four_aggregates(self):
         metrics = Metrics()
-        with metrics.span("parent") as parent:
-            parent.set("k", "v")
-            with metrics.span("child"):
-                pass
-        spans = metrics.snapshot()["spans"]
-        assert len(spans) == 1
-        assert spans[0]["name"] == "parent"
-        assert spans[0]["attributes"] == {"k": "v"}
-        assert [c["name"] for c in spans[0]["children"]] == ["child"]
+        metrics.counter("c")
+        metrics.observe("t", 0.5)
+        assert set(metrics.snapshot()) == AGGREGATES
+        assert set(NULL_METRICS.snapshot()) == AGGREGATES
 
-    def test_sequential_spans_are_both_roots(self):
-        metrics = Metrics()
-        with metrics.span("first"):
-            pass
-        with metrics.span("second"):
-            pass
-        assert [s["name"] for s in metrics.snapshot()["spans"]] == [
-            "first",
-            "second",
-        ]
+    def test_registries_have_no_span_method(self):
+        import repro.obs
 
-    def test_span_attributes_via_kwargs(self):
-        metrics = Metrics()
-        with metrics.span("s", graph="g1"):
-            pass
-        assert metrics.snapshot()["spans"][0]["attributes"] == {"graph": "g1"}
-
-    def test_open_spans_are_not_exported(self):
-        metrics = Metrics()
-        span = metrics.span("open")
-        span.__enter__()
-        assert metrics.snapshot()["spans"] == []
-
-    def test_span_durations_use_the_clock(self):
-        metrics = Metrics(clock=FakeClock(step=2.0))
-        with metrics.span("timed"):
-            pass
-        assert metrics.snapshot()["spans"][0]["seconds"] == pytest.approx(2.0)
+        assert not hasattr(Metrics, "span")
+        assert not hasattr(NullMetrics, "span")
+        assert not hasattr(repro.obs, "Span")
 
 
 class TestSnapshotExport:
@@ -137,14 +117,16 @@ class TestSnapshotExport:
         metrics.counter("c", 3)
         metrics.gauge("g", 7)
         metrics.observe("t", 0.5)
-        with metrics.span("s", key="value"):
+        trace = TraceBuffer()
+        with trace.span("test", "s", key="value"):
             pass
         restored = json.loads(to_json(metrics.snapshot()))
         assert restored["counters"] == {"c": 3}
         assert restored["gauges"] == {"g": 7}
         assert restored["timers"]["t"]["count"] == 1
-        assert restored["spans"][0]["name"] == "s"
-        assert restored["spans"][0]["attributes"] == {"key": "value"}
+        (event,) = json.loads(to_json(chrome_trace(trace)))["traceEvents"][1:]
+        assert event["name"] == "s"
+        assert event["args"] == {"key": "value"}
 
     def test_non_json_values_are_stringified(self):
         from fractions import Fraction
@@ -171,8 +153,7 @@ class TestSnapshotExport:
         metrics = Metrics(sink=SummarySink(stream))
         metrics.counter("engine.states", 12)
         metrics.observe("engine.run", 0.001)
-        with metrics.span("top"):
-            pass
+        metrics.histogram("top", 0.5)
         metrics.flush()
         text = stream.getvalue()
         assert "engine.states: 12" in text
@@ -186,15 +167,13 @@ class TestSnapshotExport:
         metrics = Metrics()
         metrics.counter("c")
         metrics.observe("t", 1.0)
-        with metrics.span("s"):
-            pass
+        metrics.histogram("h", 0.5)
         metrics.reset()
         assert metrics.snapshot() == {
             "counters": {},
             "gauges": {},
             "timers": {},
             "histograms": {},
-            "spans": [],
         }
 
 
@@ -209,17 +188,18 @@ class TestNullRegistry:
         null.counter("c", 5)
         null.gauge("g", 1)
         null.observe("t", 1.0)
+        null.histogram("h", 0.5)
         with null.timer("t"):
             pass
-        with null.span("s", k=1) as span:
+        with NULL_TRACE.span("test", "s", k=1) as span:
             span.set("x", 2)
         assert null.snapshot() == {
             "counters": {},
             "gauges": {},
             "timers": {},
             "histograms": {},
-            "spans": [],
         }
+        assert NULL_TRACE.events() == []
 
     def test_null_sink_discards(self):
         NullSink().emit({"counters": {"a": 1}})  # must not raise
@@ -253,7 +233,7 @@ class TestEngineIntegration:
     def test_state_space_counters_recorded(self, simple_cycle_graph):
         from repro.throughput.state_space import throughput
 
-        with collecting() as metrics:
+        with collecting() as metrics, tracing() as trace:
             result = throughput(simple_cycle_graph)
         snapshot = metrics.snapshot()
         assert snapshot["counters"]["state_space.executions"] == 1
@@ -262,9 +242,11 @@ class TestEngineIntegration:
             == result.states_explored
         )
         assert snapshot["timers"]["state_space.execute"]["count"] == 1
-        span = snapshot["spans"][0]
-        assert span["name"] == "state_space.throughput"
-        assert span["attributes"]["states"] == result.states_explored
+        (event,) = [
+            e for e in trace.events()
+            if (e.category, e.name) == ("engine", "state_space.throughput")
+        ]
+        assert event.args["states"] == result.states_explored
 
     def test_disabled_collection_leaves_no_trace(self, simple_cycle_graph):
         from repro.throughput.state_space import throughput
@@ -279,7 +261,7 @@ class TestEngineIntegration:
         )
         from repro.core.strategy import ResourceAllocator
 
-        with collecting() as metrics:
+        with collecting() as metrics, tracing() as trace:
             ResourceAllocator().allocate(
                 paper_example_application(), paper_example_architecture()
             )
@@ -290,10 +272,11 @@ class TestEngineIntegration:
             "allocate.slices",
         ):
             assert snapshot["timers"][phase]["count"] == 1
-        allocate_spans = [
-            s for s in snapshot["spans"] if s["name"] == "allocate"
+        allocate_events = [
+            e for e in trace.events()
+            if (e.category, e.name) == ("strategy", "allocate")
         ]
-        assert allocate_spans[0]["attributes"]["outcome"] == "allocated"
+        assert allocate_events[0].args["outcome"] == "allocated"
         assert snapshot["counters"]["slices.throughput_checks"] >= 1
 
 
@@ -351,28 +334,3 @@ class TestThreadSafety:
         snapshot = metrics.snapshot()
         assert snapshot["counters"]["shared"] == 4000
         assert snapshot["timers"]["timer"]["count"] == 4000
-
-    def test_concurrent_spans_all_reach_the_tree(self):
-        import threading
-
-        metrics = Metrics()
-
-        def record(index):
-            for _ in range(100):
-                with metrics.span(f"worker-{index}"):
-                    pass
-
-        threads = [
-            threading.Thread(target=record, args=(i,)) for i in range(4)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        snapshot = metrics.snapshot()
-        # interleaved exits may nest spans under a concurrent sibling,
-        # but no span may be silently dropped
-        def count(spans):
-            return sum(1 + count(s.get("children", [])) for s in spans)
-
-        assert count(snapshot["spans"]) == 400

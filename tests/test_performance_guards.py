@@ -142,10 +142,6 @@ class _CountingMetrics:
         self.calls += 1
         return self._noop()
 
-    def span(self, name, **attributes):
-        self.calls += 1
-        return self._noop()
-
     class _noop:
         def set(self, key, value):
             pass

@@ -400,14 +400,23 @@ def test_sigkilled_child_is_retried_and_job_completes(tmp_path):
 def test_stalled_child_is_killed_by_watchdog(tmp_path):
     service = _service(tmp_path, retry=ONE_SHOT, stall_timeout=2.0)
     try:
-        application, architecture = slow_request(macroblocks=200)
+        application, architecture = slow_request()
         job_id = service.submit(application, architecture)
+        child = _live_child(service)
+        # the child beats once just before it starts the attempt: stop
+        # it after that beat, so the stop lands in the attempt and the
+        # stall window, not the spawn grace, decides the kill
+        deadline = time.perf_counter() + 30
+        while child.watch_stats()["beats"] < 1:
+            assert time.perf_counter() < deadline, "child never beat"
+            time.sleep(0.01)
         # SIGSTOP freezes the child mid-search: heartbeats cease but the
         # process stays alive — exactly the failure rlimits cannot catch
-        os.kill(_live_child(service).pid, signal.SIGSTOP)
+        os.kill(child.pid, signal.SIGSTOP)
         record = service.wait(job_id, timeout=120)
         assert record["state"] == "quarantined"
         assert record["sandbox_verdict"]["kind"] == "stalled"
+        assert record["sandbox_verdict"]["beats"] >= 1
         assert record["sandbox_verdict"]["exit_status"] == -int(
             signal.SIGKILL
         )

@@ -8,10 +8,11 @@ and a result cache whose hits are re-verified before being served.
 
 import json
 import time
+from pathlib import Path
 
 import pytest
 
-from repro.obs import collecting
+from repro.obs import collecting, to_json
 from repro.resilience.budget import Budget
 from repro.resilience.faults import FaultInjector, FaultSpec
 from repro.resilience.policy import resilient_allocate
@@ -47,6 +48,42 @@ def service(tmp_path):
     ).start()
     yield instance
     instance.drain(cancel_running=True)
+
+
+def test_started_service_keeps_no_engine_checkpoints(service):
+    assert not (Path(service.spool) / "checkpoints").exists()
+
+
+def test_metrics_snapshot_stays_bounded_over_computed_jobs(tmp_path):
+    """The registry holds aggregates only: once every timer reservoir
+    is full, more jobs leave the serialised snapshot the same size."""
+    from repro.obs.metrics import RESERVOIR_SIZE
+
+    application, architecture = fast_request()
+    service = AllocationService(str(tmp_path / "spool"), workers=1)
+    jobs = 0
+
+    def run(count):
+        nonlocal jobs
+        for _ in range(count):
+            jobs += 1
+            # a distinct constraint per job, so none is a cache hit
+            application["throughput_constraint"] = f"1/{40 + jobs}"
+            record = service.wait(
+                service.submit(application, architecture), 60
+            )
+            assert record["source"] == "computed"
+
+    with collecting() as metrics:
+        service.start()
+        try:
+            run(RESERVOIR_SIZE)
+            after_n = len(to_json(metrics.snapshot()))
+            run(RESERVOIR_SIZE)
+            after_2n = len(to_json(metrics.snapshot()))
+        finally:
+            service.drain(cancel_running=True)
+    assert after_2n <= after_n + 1024
 
 
 # -- happy path and the verified cache -------------------------------------

@@ -162,9 +162,9 @@ class TestFlow:
 class TestFlowCheckpoints:
     """Crash-safety plumbing of ``allocate_until_failure``.
 
-    The flow checkpoint at ``checkpoint_path`` is the durable record;
-    per-application engine checkpoints (``{path}.{app}.json``) are
-    scratch state and must never outlive their application's commit.
+    The flow checkpoint at ``checkpoint_path`` is the only file the flow
+    writes: an application that was not committed is searched again
+    from the start on resume, so no engine frontier is kept for it.
     """
 
     def apps(self, count):
@@ -189,6 +189,8 @@ class TestFlowCheckpoints:
     def test_interrupted_application_leaves_scoped_engine_checkpoint(
         self, tmp_path
     ):
+        """An application interrupted by the budget leaves no engine
+        checkpoint of its own beside the flow checkpoint."""
         from repro.resilience.budget import Budget
 
         path = tmp_path / "flow.json"
@@ -204,9 +206,8 @@ class TestFlowCheckpoints:
             if record["outcome"] == "budget-exhausted"
         ]
         assert exhausted, "budget was expected to interrupt an application"
-        stray = sorted(p.name for p in tmp_path.iterdir())
-        assert f"flow.json.{exhausted[0]}.json" in stray
-        assert not any(name.endswith(".tmp") for name in stray)
+        assert result.applications_bound > 0  # so flow.json was written
+        assert [p.name for p in tmp_path.iterdir()] == ["flow.json"]
 
     def test_resume_skips_committed_applications_and_cleans_up(
         self, tmp_path
@@ -241,5 +242,4 @@ class TestFlowCheckpoints:
         assert [
             a.achieved_throughput for a in resumed.allocations
         ] == [a.achieved_throughput for a in fresh.allocations]
-        # scratch engine checkpoints are gone after the commits
         assert [p.name for p in tmp_path.iterdir()] == ["flow.json"]

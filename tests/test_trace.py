@@ -197,6 +197,14 @@ class TestChromeExport:
         assert document["traceEvents"][1]["args"]["rate"] == "1/3"
 
 
+def _events(buffer, category, name):
+    return [
+        event
+        for event in buffer.events()
+        if (event.category, event.name) == (category, name)
+    ]
+
+
 class TestEngineIntegration:
     def test_state_space_emits_engine_events(self, simple_cycle_graph):
         from repro.throughput.state_space import throughput
@@ -253,6 +261,96 @@ class TestEngineIntegration:
         assert all(
             event.category == "checkpoint" for event in buffer.events()
         )
+
+    def test_state_space_throughput_event_counts_components(self):
+        from repro.sdf.graph import SDFGraph
+        from repro.throughput.state_space import throughput
+
+        graph = SDFGraph("two-sccs")
+        for name, time in (("a", 2), ("b", 3), ("c", 1), ("d", 4)):
+            graph.add_actor(name, time)
+        graph.add_channel("ab", "a", "b")
+        graph.add_channel("ba", "b", "a", tokens=1)
+        graph.add_channel("bc", "b", "c")
+        graph.add_channel("cd", "c", "d")
+        graph.add_channel("dc", "d", "c", tokens=1)
+        with tracing() as buffer:
+            result = throughput(graph)
+        (event,) = _events(buffer, "engine", "state_space.throughput")
+        assert event.args["graph"] == "two-sccs"
+        assert event.args["sccs"] == 2
+        assert event.args["sccs_explored"] == 2
+        assert event.args["states"] == result.states_explored
+        assert event.args["iteration_rate"] == str(result.iteration_rate)
+
+    def test_greedy_allocation_leaves_one_strategy_event(self):
+        from fractions import Fraction
+
+        from repro.appmodel.example import (
+            paper_example_application,
+            paper_example_architecture,
+        )
+        from repro.core.strategy import AllocationError, ResourceAllocator
+
+        with tracing() as buffer:
+            allocation = ResourceAllocator().allocate(
+                paper_example_application(), paper_example_architecture()
+            )
+        (event,) = _events(buffer, "strategy", "allocate")
+        assert event.duration is not None
+        assert event.args["outcome"] == "allocated"
+        assert event.args["throughput_checks"] == allocation.throughput_checks
+        assert event.args["achieved_throughput"] == str(
+            allocation.achieved_throughput
+        )
+        assert event.args["tiles_used"] == len(
+            allocation.binding.used_tiles()
+        )
+        with tracing() as buffer:
+            with pytest.raises(AllocationError):
+                ResourceAllocator().allocate(
+                    paper_example_application(
+                        throughput_constraint=Fraction(1, 1)
+                    ),
+                    paper_example_architecture(),
+                )
+        (event,) = _events(buffer, "strategy", "allocate")
+        assert event.args["outcome"] == "failed"
+        assert event.args["reason"]
+
+    def test_exact_search_stopped_by_its_budget_leaves_its_event(self):
+        from repro.appmodel.example import paper_example
+        from repro.exact import exact_search
+        from repro.resilience.budget import Budget, BudgetExceededError
+
+        application, architecture, _ = paper_example()
+        with tracing() as buffer:
+            with pytest.raises(BudgetExceededError):
+                exact_search(
+                    application, architecture, budget=Budget(max_states=5)
+                )
+        (event,) = _events(buffer, "exact", "search")
+        assert event.args["outcome"] == "budget-exhausted"
+        assert event.args["reason"] == "states"
+
+    def test_flow_application_that_raises_records_its_error_type(self):
+        from repro.appmodel.example import (
+            paper_example_application,
+            paper_example_architecture,
+        )
+        from repro.core.flow import allocate_until_failure
+        from repro.resilience.faults import FaultInjector, FaultSpec
+
+        spec = FaultSpec(point="scheduling.build", error="runtime")
+        with tracing() as buffer, FaultInjector(specs=[spec]):
+            result = allocate_until_failure(
+                paper_example_architecture(), [paper_example_application()]
+            )
+        assert result.application_stats[0]["outcome"] == "error"
+        (event,) = _events(buffer, "flow", "application")
+        assert event.args["outcome"] == "error"
+        assert event.args["error_type"] == "InjectedFaultError"
+        assert event.args["reason"] == result.application_stats[0]["reason"]
 
     def test_disabled_tracing_records_nothing(self, simple_cycle_graph):
         from repro.throughput.state_space import throughput
