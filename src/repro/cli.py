@@ -63,7 +63,6 @@ from repro.durable import write_atomic
 from repro.exitcodes import HTTP_EXIT_MAP
 from repro.generate.benchmark import generate_benchmark_set
 from repro.obs import (
-    JsonSink,
     collecting,
     format_summary,
     to_json,
@@ -1511,7 +1510,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                 # evidence survives failed runs: the snapshot and trace
                 # are written before any exception reaches the handlers
                 if metrics is not None:
-                    JsonSink(metrics_path).emit(metrics.snapshot())
+                    write_atomic(
+                        metrics_path, to_json(metrics.snapshot()) + "\n"
+                    )
                 if trace is not None:
                     write_chrome_trace(trace_path, trace)
     except BudgetExceededError as error:

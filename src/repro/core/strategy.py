@@ -109,7 +109,7 @@ class ResourceAllocator:
         ) as span:
             try:
                 if binding is None:
-                    with obs.timer("allocate.binding"):
+                    with obs.timer("allocate.binding_seconds"):
                         binding = bind_application(
                             application,
                             architecture,
@@ -126,15 +126,15 @@ class ResourceAllocator:
                             "the given binding violates Section 7: "
                             + "; ".join(str(v) for v in violations)
                         )
-                with obs.timer("allocate.binding_aware"):
+                with obs.timer("allocate.binding_aware_seconds"):
                     bag = build_binding_aware_graph(
                         application, architecture, binding
                     )
-                with obs.timer("allocate.scheduling"):
+                with obs.timer("allocate.scheduling_seconds"):
                     schedules = build_static_order_schedules(
                         bag, max_states=self.max_states, budget=budget
                     )
-                with obs.timer("allocate.slices"):
+                with obs.timer("allocate.slices_seconds"):
                     slice_result = allocate_time_slices(
                         bag,
                         schedules,

@@ -39,11 +39,12 @@ from repro.obs.metrics import (
     MetricsLike,
     NULL_METRICS,
     NullMetrics,
-    TimerStat,
     collecting,
     disable,
     enable,
+    format_summary,
     get_metrics,
+    to_json,
 )
 from repro.obs.prom import (
     parse_exposition,
@@ -59,21 +60,11 @@ from repro.obs.report import (
     read_report,
     write_report,
 )
-from repro.obs.sinks import (
-    JsonSink,
-    NULL_SINK,
-    NullSink,
-    Sink,
-    SummarySink,
-    format_summary,
-    to_json,
-)
 from repro.obs.telemetry import (
     FlightRecorder,
     JobTelemetry,
     TelemetryError,
     capture_clock,
-    merged_chrome_trace,
     read_telemetry,
     rebase_events,
     write_telemetry,
@@ -87,6 +78,7 @@ from repro.obs.trace import (
     disable_trace,
     enable_trace,
     get_trace,
+    merged_chrome_trace,
     tracing,
     write_chrome_trace,
 )
@@ -98,24 +90,18 @@ __all__ = [
     "HistogramStat",
     "JobTelemetry",
     "JsonLogger",
-    "JsonSink",
     "Metrics",
     "MetricsLike",
     "NULL_LOGGER",
     "NULL_METRICS",
-    "NULL_SINK",
     "NULL_TRACE",
     "NullLogger",
     "NullMetrics",
-    "NullSink",
     "NullTraceBuffer",
     "REPORT_FORMAT",
     "REPORT_VERSION",
     "ReportError",
-    "Sink",
-    "SummarySink",
     "TelemetryError",
-    "TimerStat",
     "TraceBuffer",
     "TraceEvent",
     "build_report",

@@ -1,4 +1,4 @@
-"""Metrics registry: counters, gauges, timers and histograms.
+"""Metrics registry: counters, gauges and histograms.
 
 The registry is deliberately tiny and dependency-free so it can stay
 permanently wired into the hot paths of the throughput engines.  It
@@ -8,8 +8,8 @@ runs; timed, attributed sections of one run are trace events
 API:
 
 * :class:`Metrics` — the real registry.  Counters accumulate, gauges
-  keep the last value, timers aggregate durations and histograms
-  bucket observations.
+  keep the last value and histograms bucket observations, durations
+  included (their names end in ``_seconds``).
 * :class:`NullMetrics` — the module-level no-op used whenever
   instrumentation is disabled.  Every method returns immediately (the
   timer object is a shared stateless singleton), so instrumented code
@@ -24,21 +24,22 @@ and, on hot paths, guards non-trivial bookkeeping behind the
     ...                                   # the actual work
     if obs.enabled:
         obs.counter("engine.states", states)
-        obs.observe("engine.execute", time.perf_counter() - started)
+        obs.histogram("engine.execute_seconds",
+                      time.perf_counter() - started)
 
 :func:`enable` / :func:`disable` swap the active registry;
 :func:`collecting` does so for the duration of a ``with`` block.
+:func:`to_json` and :func:`format_summary` render a snapshot.
 """
 
 from __future__ import annotations
 
-import random
+import json
 import time
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Union
+from typing import Any, Dict, Iterator, Optional, Sequence, Union
 
 from repro.obs.lockcheck import make_lock
-from repro.obs.sinks import NULL_SINK, Sink
 
 Number = Union[int, float]
 
@@ -48,16 +49,13 @@ __all__ = [
     "HistogramStat",
     "Metrics",
     "NullMetrics",
-    "TimerStat",
     "collecting",
     "disable",
     "enable",
+    "format_summary",
     "get_metrics",
+    "to_json",
 ]
-
-#: reservoir size per timer: enough for stable p50/p95, bounded so a
-#: million observations cost the same memory as a hundred
-RESERVOIR_SIZE = 128
 
 #: histogram bucket upper bounds for latency-style observations (s)
 DEFAULT_LATENCY_BUCKETS = (
@@ -70,84 +68,6 @@ DEFAULT_LATENCY_BUCKETS = (
 DEFAULT_SIZE_BUCKETS = (
     10.0, 100.0, 1_000.0, 10_000.0, 100_000.0, 1_000_000.0, 10_000_000.0,
 )
-
-
-class TimerStat:
-    """Aggregated observations of one named timer.
-
-    Besides the running count/total/min/max, a bounded reservoir
-    (:data:`RESERVOIR_SIZE` samples, classic Vitter algorithm-R with a
-    fixed-seed PRNG so snapshots are deterministic for a given
-    observation sequence) supports mean and p50/p95/p99 estimates
-    without unbounded memory.
-    """
-
-    __slots__ = ("count", "total", "min", "max", "samples", "_rng")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.total = 0.0
-        self.min = float("inf")
-        self.max = 0.0
-        self.samples: List[float] = []
-        self._rng = random.Random(0)
-
-    def add(self, seconds: float) -> None:
-        self.count += 1
-        self.total += seconds
-        if seconds < self.min:
-            self.min = seconds
-        if seconds > self.max:
-            self.max = seconds
-        if len(self.samples) < RESERVOIR_SIZE:
-            self.samples.append(seconds)
-        else:
-            slot = self._rng.randrange(self.count)
-            if slot < RESERVOIR_SIZE:
-                self.samples[slot] = seconds
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def percentile(self, fraction: float) -> float:
-        """Nearest-rank percentile estimate from the reservoir."""
-        if not self.samples:
-            return 0.0
-        ordered = sorted(self.samples)
-        rank = max(0, min(len(ordered) - 1,
-                          int(fraction * len(ordered) + 0.5) - 1))
-        return ordered[rank]
-
-    def merge(self, data: Dict[str, Any]) -> None:
-        """Fold a serialised stat (:meth:`to_dict`) into this one."""
-        count = int(data.get("count", 0))
-        if count <= 0:
-            return
-        self.count += count
-        self.total += float(data.get("total_seconds", 0.0))
-        self.min = min(self.min, float(data.get("min_seconds", 0.0)))
-        self.max = max(self.max, float(data.get("max_seconds", 0.0)))
-        for sample in data.get("samples", ()):
-            if len(self.samples) < RESERVOIR_SIZE:
-                self.samples.append(float(sample))
-            else:
-                slot = self._rng.randrange(self.count)
-                if slot < RESERVOIR_SIZE:
-                    self.samples[slot] = float(sample)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "count": self.count,
-            "total_seconds": self.total,
-            "min_seconds": self.min if self.count else 0.0,
-            "max_seconds": self.max,
-            "mean_seconds": self.mean,
-            "p50_seconds": self.percentile(0.50),
-            "p95_seconds": self.percentile(0.95),
-            "p99_seconds": self.percentile(0.99),
-            "samples": list(self.samples),
-        }
 
 
 class HistogramStat:
@@ -203,7 +123,7 @@ class HistogramStat:
 
 
 class _Timer:
-    """Context manager feeding one duration into a named TimerStat."""
+    """Context manager feeding one duration into a named histogram."""
 
     __slots__ = ("_metrics", "_name", "_start")
 
@@ -217,7 +137,9 @@ class _Timer:
         return self
 
     def __exit__(self, *exc_info: object) -> None:
-        self._metrics.observe(self._name, self._metrics._clock() - self._start)
+        self._metrics.histogram(
+            self._name, self._metrics._clock() - self._start
+        )
 
 
 class _NullTimer:
@@ -246,9 +168,6 @@ class NullMetrics:
     def gauge(self, name: str, value: Any) -> None:
         pass
 
-    def observe(self, name: str, seconds: float) -> None:
-        pass
-
     def histogram(
         self,
         name: str,
@@ -266,15 +185,7 @@ class NullMetrics:
         pass
 
     def snapshot(self) -> Dict[str, Any]:
-        return {
-            "counters": {},
-            "gauges": {},
-            "timers": {},
-            "histograms": {},
-        }
-
-    def flush(self) -> None:
-        pass
+        return {"counters": {}, "gauges": {}, "histograms": {}}
 
     def reset(self) -> None:
         pass
@@ -283,9 +194,8 @@ class NullMetrics:
 class Metrics:
     """The collecting registry.
 
-    ``sink`` receives the snapshot on :meth:`flush`; ``clock`` is
-    injectable for deterministic tests (defaults to
-    :func:`time.perf_counter`).
+    ``clock`` times :meth:`timer` blocks and is injectable for
+    deterministic tests (defaults to :func:`time.perf_counter`).
 
     All recording paths take a single internal lock, so several worker
     threads may share one registry without corrupting snapshots.  The
@@ -294,17 +204,11 @@ class Metrics:
 
     enabled = True
 
-    def __init__(
-        self,
-        sink: Optional[Sink] = None,
-        clock=time.perf_counter,
-    ) -> None:
-        self.sink: Sink = sink if sink is not None else NULL_SINK
+    def __init__(self, clock=time.perf_counter) -> None:
         self._clock = clock
         self._lock = make_lock("repro.obs.metrics.Metrics._lock")
         self._counters: Dict[str, Number] = {}  # guarded-by: _lock
         self._gauges: Dict[str, Any] = {}  # guarded-by: _lock
-        self._timers: Dict[str, TimerStat] = {}  # guarded-by: _lock
         self._histograms: Dict[str, HistogramStat] = {}  # guarded-by: _lock
 
     # -- recording -----------------------------------------------------
@@ -317,14 +221,6 @@ class Metrics:
         """Record the last-seen value of the named gauge."""
         with self._lock:
             self._gauges[name] = value
-
-    def observe(self, name: str, seconds: float) -> None:
-        """Feed one duration into the named timer aggregate."""
-        with self._lock:
-            stat = self._timers.get(name)
-            if stat is None:
-                stat = self._timers[name] = TimerStat()
-            stat.add(seconds)
 
     def histogram(
         self,
@@ -348,7 +244,7 @@ class Metrics:
             stat.add(value)
 
     def timer(self, name: str) -> _Timer:
-        """Context manager timing its body into :meth:`observe`."""
+        """Context manager recording its body's duration as a histogram."""
         return _Timer(self, name)
 
     def merge_snapshot(
@@ -356,13 +252,12 @@ class Metrics:
     ) -> None:
         """Fold another registry's snapshot into this one.
 
-        Counters are summed, timers merged (counts, totals, bounds and
-        reservoirs), histograms added bucket-wise (mismatched bucket
-        layouts are skipped), gauges last-write-wins.  ``prefix`` is
-        prepended to every merged name — the sandbox harvest uses
-        ``"child."`` so a child's ``state_space.states`` lands as
-        ``child.state_space.states`` without colliding with the
-        daemon's own series.
+        Counters are summed, histograms added bucket by bucket
+        (mismatched bucket layouts are skipped), gauges last-write-wins.
+        ``prefix`` is prepended to every merged name — the sandbox
+        harvest uses ``"child."`` so a child's ``state_space.states``
+        lands as ``child.state_space.states`` without colliding with
+        the daemon's own series.
         """
         with self._lock:
             for name, value in snapshot.get("counters", {}).items():
@@ -370,12 +265,6 @@ class Metrics:
                 self._counters[key] = self._counters.get(key, 0) + value
             for name, value in snapshot.get("gauges", {}).items():
                 self._gauges[prefix + name] = value
-            for name, data in snapshot.get("timers", {}).items():
-                key = prefix + name
-                stat = self._timers.get(key)
-                if stat is None:
-                    stat = self._timers[key] = TimerStat()
-                stat.merge(data)
             for name, data in snapshot.get("histograms", {}).items():
                 key = prefix + name
                 hist = self._histograms.get(key)
@@ -391,25 +280,17 @@ class Metrics:
             return {
                 "counters": dict(self._counters),
                 "gauges": dict(self._gauges),
-                "timers": {
-                    name: stat.to_dict() for name, stat in self._timers.items()
-                },
                 "histograms": {
                     name: stat.to_dict()
                     for name, stat in self._histograms.items()
                 },
             }
 
-    def flush(self) -> None:
-        """Emit the current snapshot to the configured sink."""
-        self.sink.emit(self.snapshot())
-
     def reset(self) -> None:
         """Drop everything recorded so far."""
         with self._lock:
             self._counters.clear()
             self._gauges.clear()
-            self._timers.clear()
             self._histograms.clear()
 
 
@@ -451,3 +332,39 @@ def collecting(metrics: Optional[Metrics] = None) -> Iterator[Metrics]:
     finally:
         if _active is active:
             disable()
+
+
+def to_json(snapshot: Dict[str, Any], indent: Optional[int] = 2) -> str:
+    """Serialise a snapshot; non-JSON values become their ``str()``.
+
+    Instrumented code may record exact rationals (``Fraction`` gauges)
+    or ``inf`` without caring about the export format.
+    """
+    return json.dumps(snapshot, indent=indent, default=str)
+
+
+def format_summary(snapshot: Dict[str, Any]) -> str:
+    """Human-readable rendering of a snapshot (stable ordering)."""
+    lines = []
+    counters = snapshot.get("counters", {})
+    if counters:
+        lines.append("counters:")
+        for name in sorted(counters):
+            lines.append(f"  {name}: {counters[name]}")
+    gauges = snapshot.get("gauges", {})
+    if gauges:
+        lines.append("gauges:")
+        for name in sorted(gauges):
+            lines.append(f"  {name}: {gauges[name]}")
+    histograms = snapshot.get("histograms", {})
+    if histograms:
+        lines.append("histograms:")
+        for name in sorted(histograms):
+            stat = histograms[name]
+            count = stat.get("count", 0)
+            total = stat.get("sum", 0.0)
+            mean = total / count if count else 0.0
+            lines.append(f"  {name}: {count}x mean {mean:.4g} sum {total:.4g}")
+    if not lines:
+        return "(no metrics recorded)"
+    return "\n".join(lines)

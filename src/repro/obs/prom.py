@@ -3,11 +3,10 @@
 :func:`render_prometheus` turns the JSON-ready snapshot produced by
 ``Metrics.snapshot()`` into the Prometheus text exposition format
 (version 0.0.4): counters become ``<prefix>_<name>_total`` counter
-families, numeric gauges become gauge families, timers become summary
-families with ``quantile`` labels taken from the bounded reservoir, and
-histograms become cumulative ``_bucket{le=...}`` families.  Dots and
-other characters that are invalid in Prometheus metric names are
-rewritten to underscores.
+families, numeric gauges become gauge families, and histograms
+(durations among them, named ``*_seconds``) become cumulative
+``_bucket{le=...}`` families.  Dots and other characters that are
+invalid in Prometheus metric names are rewritten to underscores.
 
 The service HTTP front end serves the rendered text on ``GET
 /metrics``; :func:`validate_exposition` is the machine check used by the
@@ -35,14 +34,6 @@ CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 _NAME_OK = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _NAME_BAD_CHARS = re.compile(r"[^a-zA-Z0-9_:]")
-
-#: Timer quantiles exported as summary samples (key in ``to_dict()``
-#: → ``quantile`` label value).
-_TIMER_QUANTILES = (
-    ("p50_seconds", "0.5"),
-    ("p95_seconds", "0.95"),
-    ("p99_seconds", "0.99"),
-)
 
 # Exposition line shapes accepted by validate_exposition().
 _HELP_LINE = re.compile(r"^# HELP ([a-zA-Z_:][a-zA-Z0-9_:]*) .*$")
@@ -107,18 +98,6 @@ def render_prometheus(snapshot: Dict[str, Any], prefix: str = "repro") -> str:
     for family in sorted(gauges):
         lines.append(f"# TYPE {family} gauge")
         lines.append(f"{family} {_format_value(gauges[family])}")
-
-    timers = snapshot.get("timers", {})
-    for name in sorted(timers):
-        stat = timers[name]
-        family = sanitize_metric_name(name, prefix) + "_seconds"
-        lines.append(f"# TYPE {family} summary")
-        for key, quantile in _TIMER_QUANTILES:
-            if key in stat:
-                value = _format_value(stat[key])
-                lines.append(f'{family}{{quantile="{quantile}"}} {value}')
-        lines.append(f"{family}_sum {_format_value(stat.get('total_seconds', 0.0))}")
-        lines.append(f"{family}_count {_format_value(stat.get('count', 0))}")
 
     histograms = snapshot.get("histograms", {})
     for name in sorted(histograms):

@@ -1,13 +1,13 @@
 """Schema-versioned per-run reports.
 
 A *run report* is the machine-readable record of one instrumented run:
-what was executed (``label`` + free-form ``result``), the metrics
-snapshot (counters, gauges, timers, histograms), a trace digest,
-budget consumption, and an environment fingerprint (python, platform,
-git sha, seed) that makes perf numbers comparable across machines and
-commits.  ``repro-alloc bench`` emits its ``BENCH_<label>.json`` files
-in exactly this schema, and ``bench --compare`` reads them back for
-regression detection (see :mod:`repro.bench`).
+what was executed (``label`` + free-form ``result``), the per-workload
+measurements of a bench run, and an environment fingerprint (python,
+platform, git sha, seed) that makes perf numbers comparable across
+machines and commits.  ``repro-alloc bench`` emits its
+``BENCH_<label>.json`` files in exactly this schema, and ``bench
+--compare`` reads them back for regression detection (see
+:mod:`repro.bench`).
 
 The envelope mirrors the checkpoint format: ``format`` is
 :data:`REPORT_FORMAT`, ``version`` is :data:`REPORT_VERSION`, files are
@@ -15,7 +15,7 @@ written atomically by :func:`repro.durable.write_atomic`, and
 :func:`read_report` refuses anything it does not understand with a
 typed :class:`ReportError`.  Everything inside a report is JSON-native
 (:func:`build_report` normalises ``Fraction`` and friends through
-:func:`repro.obs.sinks.to_json`), so reports round-trip bit-for-bit.
+:func:`repro.obs.metrics.to_json`), so reports round-trip bit-for-bit.
 
 Full field reference: ``docs/FORMATS.md``.
 """
@@ -30,7 +30,7 @@ import sys
 from typing import Any, Dict, Optional
 
 from repro.durable import read_json, write_atomic
-from repro.obs.sinks import to_json
+from repro.obs.metrics import to_json
 
 REPORT_FORMAT = "repro-run-report"
 REPORT_VERSION = 1
@@ -87,22 +87,14 @@ def environment_fingerprint(seed: Optional[int] = None) -> Dict[str, Any]:
 def build_report(
     label: str,
     result: Optional[Dict[str, Any]] = None,
-    metrics: Optional[Dict[str, Any]] = None,
-    trace: Optional[Any] = None,
-    budget: Optional[Any] = None,
     seed: Optional[int] = None,
     workloads: Optional[Any] = None,
 ) -> Dict[str, Any]:
     """Assemble a run report dict in the versioned schema.
 
-    ``metrics`` is a ``Metrics.snapshot()`` dict; ``trace`` either a
-    :class:`~repro.obs.trace.TraceBuffer` (its :meth:`summary` is
-    embedded, never the raw events) or an already-built summary dict;
-    ``budget`` a :class:`~repro.resilience.budget.Budget` (duck-typed —
-    only its public fields are read); ``workloads`` the per-workload
-    measurement list of a bench run.  Every value is normalised to
-    JSON-native types, so the returned dict survives
-    :func:`write_report` / :func:`read_report` unchanged.
+    ``workloads`` is the per-workload measurement list of a bench run.
+    Every value is normalised to JSON-native types, so the returned
+    dict survives :func:`write_report` / :func:`read_report` unchanged.
     """
     report: Dict[str, Any] = {
         "format": REPORT_FORMAT,
@@ -112,23 +104,11 @@ def build_report(
     }
     if result is not None:
         report["result"] = result
-    if metrics is not None:
-        report["metrics"] = metrics
-    if trace is not None:
-        report["trace"] = trace if isinstance(trace, dict) else trace.summary()
-    if budget is not None:
-        report["budget"] = {
-            "deadline_seconds": budget.deadline,
-            "max_states": budget.max_states,
-            "max_throughput_checks": budget.max_throughput_checks,
-            "states_charged": budget.states_charged,
-            "checks_charged": budget.checks_charged,
-            "elapsed_seconds": budget.elapsed(),
-        }
     if workloads is not None:
         report["workloads"] = workloads
-    # normalise non-JSON values (Fraction gauges, inf) exactly the way
-    # the sinks do, so what read_report returns equals what was built
+    # normalise non-JSON values (Fraction, inf) exactly the way a
+    # metrics snapshot is written, so what read_report returns equals
+    # what was built
     return json.loads(to_json(report, indent=None))
 
 

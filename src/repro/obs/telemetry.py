@@ -10,14 +10,14 @@ trace ring would otherwise die with it.  This module is the bridge:
   torn file, even while the heartbeat thread and the final spool
   write it at once);
 * the parent reads it back with :func:`read_telemetry` after the child
-  exits, folds the counters/timers/histograms into the daemon registry
-  under the ``child.`` namespace (``Metrics.merge_snapshot``), and
-  rebases the child's trace events into its own clock domain with
+  exits, folds the counters, gauges and histograms into the daemon
+  registry under the ``child.`` namespace (``Metrics.merge_snapshot``),
+  and rebases the child's trace events into its own clock domain with
   :func:`rebase_events`;
 * :class:`JobTelemetry` retains the rebased per-attempt segments so the
   service can answer ``/jobs/<id>/timeline`` and export one merged
-  Chrome trace (:func:`merged_chrome_trace`) where the parent and each
-  sandbox child occupy distinct pid lanes.
+  Chrome trace (:func:`repro.obs.trace.merged_chrome_trace`) where the
+  parent and each sandbox child occupy distinct pid lanes.
 
 Clock rebasing: ``perf_counter`` domains are process-private, so the
 sidecar carries a ``(wall, perf)`` reference pair captured together
@@ -44,7 +44,13 @@ from typing import Any, Dict, List, Optional
 from repro.durable import read_json, write_atomic
 from repro.obs.lockcheck import make_lock
 from repro.obs.metrics import MetricsLike
-from repro.obs.trace import TraceBuffer, TraceEvent, NullTraceBuffer
+from repro.obs.trace import (
+    PARENT_PID,
+    NullTraceBuffer,
+    TraceBuffer,
+    TraceEvent,
+    merged_chrome_trace,
+)
 
 __all__ = [
     "FlightRecorder",
@@ -54,7 +60,6 @@ __all__ = [
     "TelemetryError",
     "capture_clock",
     "events_from_dicts",
-    "merged_chrome_trace",
     "read_telemetry",
     "rebase_events",
     "write_telemetry",
@@ -62,9 +67,6 @@ __all__ = [
 
 TELEMETRY_FORMAT = "repro-telemetry"
 TELEMETRY_VERSION = 1
-
-#: pid assigned to the parent/service lane in merged Chrome traces
-PARENT_PID = 1
 
 #: retained job histories before FIFO eviction (bounds daemon memory)
 MAX_TRACKED_JOBS = 256
@@ -191,56 +193,6 @@ def rebase_events(
         )
         for event in events
     ]
-
-
-def merged_chrome_trace(
-    lanes: List[Dict[str, Any]],
-) -> Dict[str, Any]:
-    """Multiple event streams as one Chrome trace with pid lanes.
-
-    Each lane is ``{"name": str, "pid": int, "events": [TraceEvent]}``.
-    All timestamps must already share one clock domain (rebase child
-    lanes first); the merged document rebases the earliest event across
-    *all* lanes to t=0 so Perfetto opens at the interesting part.
-    """
-    base = min(
-        (
-            event.timestamp
-            for lane in lanes
-            for event in lane.get("events", [])
-        ),
-        default=0.0,
-    )
-    trace_events: List[Dict[str, Any]] = []
-    for lane in lanes:
-        pid = int(lane.get("pid", PARENT_PID))
-        trace_events.append(
-            {
-                "name": "process_name",
-                "ph": "M",
-                "pid": pid,
-                "tid": 1,
-                "args": {"name": str(lane.get("name", f"pid {pid}"))},
-            }
-        )
-        for event in lane.get("events", []):
-            record: Dict[str, Any] = {
-                "name": event.name,
-                "cat": event.category,
-                "ts": round((event.timestamp - base) * 1e6, 3),
-                "pid": pid,
-                "tid": 1,
-            }
-            if event.duration is None:
-                record["ph"] = "i"
-                record["s"] = "t"
-            else:
-                record["ph"] = "X"
-                record["dur"] = round(event.duration * 1e6, 3)
-            if event.args:
-                record["args"] = dict(event.args)
-            trace_events.append(record)
-    return {"traceEvents": trace_events, "displayTimeUnit": "ms"}
 
 
 class JobTelemetry:

@@ -1,7 +1,7 @@
 """Bounded event-level tracing with Chrome/Perfetto export.
 
 While :mod:`repro.obs.metrics` answers *how much* (aggregated counters
-and timers), this module answers *where inside the run*: a
+and histograms), this module answers *where inside the run*: a
 :class:`TraceBuffer` records structured, timestamped events — engine
 phase transitions, TDMA-wheel rotations, checkpoint writes/reads,
 budget exhaustion, degradation-rung transitions, certificate verdicts —
@@ -46,12 +46,14 @@ __all__ = [
     "DEFAULT_CAPACITY",
     "NULL_TRACE",
     "NullTraceBuffer",
+    "PARENT_PID",
     "TraceBuffer",
     "TraceEvent",
     "chrome_trace",
     "disable_trace",
     "enable_trace",
     "get_trace",
+    "merged_chrome_trace",
     "tracing",
     "write_chrome_trace",
 ]
@@ -59,6 +61,10 @@ __all__ = [
 #: ring-buffer size when none is given: generous for one allocation run,
 #: bounded so pathological explorations cannot exhaust memory
 DEFAULT_CAPACITY = 100_000
+
+#: pid of the parent/service lane in Chrome traces (the only lane of a
+#: single-process trace)
+PARENT_PID = 1
 
 
 class TraceEvent:
@@ -315,49 +321,69 @@ def tracing(buffer: Optional[TraceBuffer] = None) -> Iterator[TraceBuffer]:
 # -- Chrome Trace Event Format export ---------------------------------
 
 
+def merged_chrome_trace(lanes: List[Dict[str, Any]]) -> Dict[str, Any]:
+    """Event streams as one Chrome Trace Event Format document.
+
+    Each lane is ``{"name": str, "pid": int, "events": [TraceEvent]}``
+    and becomes one pid lane.  The returned dict serialises to JSON
+    that ``chrome://tracing`` and Perfetto load directly: complete
+    events become phase ``"X"`` slices with microsecond durations,
+    instants phase ``"i"`` marks.  All timestamps must already share one
+    clock domain (rebase child lanes first); the earliest event across
+    *all* lanes is rebased to t=0 so Perfetto opens at the interesting
+    part.  Categories map to Chrome's ``cat`` field, so Perfetto can
+    filter by ``engine``, ``tdma``, ``checkpoint``, ``resilience``, ....
+    """
+    base = min(
+        (
+            event.timestamp
+            for lane in lanes
+            for event in lane.get("events", [])
+        ),
+        default=0.0,
+    )
+    trace_events: List[Dict[str, Any]] = []
+    for lane in lanes:
+        pid = int(lane.get("pid", PARENT_PID))
+        trace_events.append(
+            {
+                "name": "process_name",
+                "ph": "M",
+                "pid": pid,
+                "tid": 1,
+                "args": {"name": str(lane.get("name", f"pid {pid}"))},
+            }
+        )
+        for event in lane.get("events", []):
+            record: Dict[str, Any] = {
+                "name": event.name,
+                "cat": event.category,
+                "ts": round((event.timestamp - base) * 1e6, 3),
+                "pid": pid,
+                "tid": 1,
+            }
+            if event.duration is None:
+                record["ph"] = "i"
+                record["s"] = "t"
+            else:
+                record["ph"] = "X"
+                record["dur"] = round(event.duration * 1e6, 3)
+            if event.args:
+                record["args"] = dict(event.args)
+            trace_events.append(record)
+    return {"traceEvents": trace_events, "displayTimeUnit": "ms"}
+
+
 def chrome_trace(
     events: Union[TraceBuffer, List[TraceEvent]],
     process_name: str = "repro-alloc",
 ) -> Dict[str, Any]:
-    """Events as a Chrome Trace Event Format document.
-
-    The returned dict serialises to JSON that ``chrome://tracing`` and
-    Perfetto load directly: complete events become phase ``"X"`` slices
-    with microsecond durations, instants phase ``"i"`` marks.  Event
-    timestamps are rebased so the earliest event sits at t=0.
-    Categories map to Chrome's ``cat`` field, so Perfetto can filter by
-    ``engine``, ``tdma``, ``checkpoint``, ``resilience``, ....
-    """
+    """One process's events as a one-lane :func:`merged_chrome_trace`."""
     if isinstance(events, (TraceBuffer, NullTraceBuffer)):
         events = events.events()
-    base = min((event.timestamp for event in events), default=0.0)
-    trace_events: List[Dict[str, Any]] = [
-        {
-            "name": "process_name",
-            "ph": "M",
-            "pid": 1,
-            "tid": 1,
-            "args": {"name": process_name},
-        }
-    ]
-    for event in events:
-        record: Dict[str, Any] = {
-            "name": event.name,
-            "cat": event.category,
-            "ts": round((event.timestamp - base) * 1e6, 3),
-            "pid": 1,
-            "tid": 1,
-        }
-        if event.duration is None:
-            record["ph"] = "i"
-            record["s"] = "t"
-        else:
-            record["ph"] = "X"
-            record["dur"] = round(event.duration * 1e6, 3)
-        if event.args:
-            record["args"] = dict(event.args)
-        trace_events.append(record)
-    return {"traceEvents": trace_events, "displayTimeUnit": "ms"}
+    return merged_chrome_trace(
+        [{"name": process_name, "pid": PARENT_PID, "events": events}]
+    )
 
 
 def write_chrome_trace(

@@ -452,9 +452,9 @@ def harvest_telemetry(
 ) -> bool:
     """Fold a child's telemetry sidecar into the parent's registries.
 
-    Counters/timers/histograms merge into the active metrics registry
-    under the ``child.`` namespace; trace events are rebased into this
-    process's clock domain and recorded against the job in
+    Counters, gauges and histograms merge into the active metrics
+    registry under the ``child.`` namespace; trace events are rebased
+    into this process's clock domain and recorded against the job in
     ``telemetry`` (when given).  Best-effort: a child that crashed
     before its first spool leaves no sidecar
     (``service.telemetry.missing``), a torn or alien file counts as

@@ -298,7 +298,7 @@ def main(argv: Optional[list] = None) -> int:
         # Child-local observability: the engines are permanently
         # instrumented against the process-global registries, so
         # enabling fresh ones here captures the attempt's counters,
-        # timers and trace events — which would otherwise die with
+        # durations and trace events — which would otherwise die with
         # this process.  The heartbeat thread spools them to the
         # telemetry sidecar for the parent to harvest.
         spool_telemetry = None

@@ -312,7 +312,9 @@ def constrained_throughput(
         obs.gauge("constrained.period", result.period or 0)
         if result.deadlocked:
             obs.counter("constrained.deadlocks")
-        obs.observe("constrained.execute", perf_counter() - started)
+        obs.histogram(
+            "constrained.execute_seconds", perf_counter() - started
+        )
     if tr.enabled:
         detail: Dict[str, Any] = (
             {"deadlocked": True}

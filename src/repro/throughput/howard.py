@@ -206,5 +206,5 @@ def howard_max_cycle_ratio(
     if obs.enabled:
         obs.counter("mcr.howard.calls")
         obs.counter("mcr.howard.components", analysed)
-        obs.observe("mcr.howard", perf_counter() - started)
+        obs.histogram("mcr.howard_seconds", perf_counter() - started)
     return best

@@ -49,7 +49,7 @@ def max_cycle_ratio_exact(hsdf: SDFGraph, limit: Optional[int] = None) -> Option
     ratio = _enumerated_max_cycle_ratio(hsdf, weights, limit=limit)
     if obs.enabled:
         obs.counter("mcr.enumerate.calls")
-        obs.observe("mcr.enumerate", perf_counter() - started)
+        obs.histogram("mcr.enumerate_seconds", perf_counter() - started)
     return ratio
 
 
@@ -161,7 +161,7 @@ def max_cycle_ratio_numeric(
     if obs.enabled:
         obs.counter("mcr.lawler.calls")
         obs.counter("mcr.lawler.iterations", iterations)
-        obs.observe("mcr.lawler", perf_counter() - started)
+        obs.histogram("mcr.lawler_seconds", perf_counter() - started)
     return midpoint.limit_denominator(max(total_tokens, 1))
 
 

@@ -252,7 +252,9 @@ class SelfTimedExecution:
             obs.gauge("state_space.period", result.period or 0)
             if result.deadlocked:
                 obs.counter("state_space.deadlocks")
-            obs.observe("state_space.execute", perf_counter() - started)
+            obs.histogram(
+                "state_space.execute_seconds", perf_counter() - started
+            )
         if tr.enabled:
             detail: Dict[str, Any] = (
                 {"deadlocked": True}

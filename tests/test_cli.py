@@ -280,7 +280,7 @@ def test_profile_graph_reports_states_and_timings(
         metrics["counters"]["state_space.states"]
         == report["result"]["states_explored"]
     )
-    assert metrics["timers"]["state_space.execute"]["count"] >= 1
+    assert metrics["histograms"]["state_space.execute_seconds"]["count"] >= 1
     events = json.loads(trace_path.read_text())["traceEvents"]
     assert any(
         (event.get("cat"), event["name"])
@@ -302,9 +302,9 @@ def test_profile_example_records_allocation_phases(capsys):
     assert report["result"]["mode"] == "example"
     assert report["result"]["achieved_throughput"] == "1/20"
     assert report["result"]["throughput_checks"] > 0
-    timers = report["metrics"]["timers"]
-    for phase in ("allocate.binding", "allocate.scheduling", "allocate.slices"):
-        assert timers[phase]["count"] >= 1
+    histograms = report["metrics"]["histograms"]
+    for phase in ("binding", "binding_aware", "scheduling", "slices"):
+        assert histograms[f"allocate.{phase}_seconds"]["count"] >= 1
     assert report["metrics"]["counters"]["slices.throughput_checks"] > 0
 
 
@@ -338,10 +338,12 @@ def test_metrics_flag_writes_snapshot(graph_file, tmp_path, capsys):
     metrics_path = tmp_path / "metrics.json"
     assert main(["analyse", graph_file, "--metrics", str(metrics_path)]) == 0
     assert "1/5" in capsys.readouterr().out  # normal output is untouched
-    snapshot = json.loads(metrics_path.read_text())
+    text = metrics_path.read_text()
+    snapshot = json.loads(text)
+    assert text == json.dumps(snapshot, indent=2) + "\n"
     assert snapshot["counters"]["state_space.throughput_calls"] == 1
     assert snapshot["counters"]["state_space.states"] > 0
-    assert "state_space.execute" in snapshot["timers"]
+    assert "state_space.execute_seconds" in snapshot["histograms"]
 
 
 def test_metrics_flag_on_allocation_command(tmp_path, capsys):

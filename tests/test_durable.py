@@ -23,7 +23,6 @@ from repro.durable import read_json, write_atomic
 from repro.extensions.vcd import write_vcd
 from repro.obs.metrics import Metrics
 from repro.obs.report import ReportError, read_report
-from repro.obs.sinks import JsonSink
 from repro.obs.telemetry import (
     FlightRecorder,
     TelemetryError,
@@ -203,7 +202,6 @@ WRITERS = {
     "FlightRecorder.dump": lambda path, root: FlightRecorder(root).dump(
         "job-000001", "quarantine", {}, []
     ),
-    "JsonSink.emit": lambda path, root: JsonSink(path).emit({"counters": {}}),
     "write_vcd": lambda path, root: write_vcd([], path),
 }
 

@@ -132,9 +132,6 @@ class _CountingMetrics:
     def gauge(self, name, value):
         self.calls += 1
 
-    def observe(self, name, seconds):
-        self.calls += 1
-
     def histogram(self, name, value, buckets=None):
         self.calls += 1
 

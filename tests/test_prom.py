@@ -11,7 +11,7 @@ import math
 
 import pytest
 
-from repro.obs import Metrics
+from repro.obs import Metrics, collecting
 from repro.obs.prom import (
     CONTENT_TYPE,
     parse_exposition,
@@ -48,7 +48,7 @@ def test_content_type_pins_the_text_format_version():
 
 
 def _snapshot(**overrides):
-    snapshot = {"counters": {}, "gauges": {}, "timers": {}, "histograms": {}}
+    snapshot = {"counters": {}, "gauges": {}, "histograms": {}}
     snapshot.update(overrides)
     return snapshot
 
@@ -80,18 +80,48 @@ def test_non_numeric_gauges_are_skipped():
     assert "repro_service_label" not in text
 
 
-def test_timers_render_as_summaries_with_quantiles():
-    metrics = Metrics()
-    for value in (0.010, 0.020, 0.030, 0.040):
-        metrics.observe("allocate.binding", value)
+#: every duration the engines and the allocation steps record, as the
+#: family it renders to (each the name its summary family once had)
+DURATION_FAMILIES = (
+    "repro_state_space_execute_seconds",
+    "repro_constrained_execute_seconds",
+    "repro_mcr_enumerate_seconds",
+    "repro_mcr_lawler_seconds",
+    "repro_mcr_howard_seconds",
+    "repro_allocate_binding_seconds",
+    "repro_allocate_binding_aware_seconds",
+    "repro_allocate_scheduling_seconds",
+    "repro_allocate_slices_seconds",
+)
+
+
+def test_durations_render_as_histogram_families(
+    simple_cycle_graph, example_application, example_architecture
+):
+    from repro.core.strategy import ResourceAllocator
+    from repro.throughput.howard import howard_max_cycle_ratio
+    from repro.throughput.mcr import (
+        max_cycle_ratio_exact,
+        max_cycle_ratio_numeric,
+    )
+    from repro.throughput.state_space import throughput
+
+    with collecting() as metrics:
+        throughput(simple_cycle_graph)
+        max_cycle_ratio_exact(simple_cycle_graph)
+        max_cycle_ratio_numeric(simple_cycle_graph)
+        howard_max_cycle_ratio(simple_cycle_graph)
+        ResourceAllocator().allocate(example_application, example_architecture)
     text = render_prometheus(metrics.snapshot())
-    samples = parse_exposition(text)
-    family = "repro_allocate_binding_seconds"
-    assert samples[f"{family}_count"] == 4
-    assert samples[f"{family}_sum"] == pytest.approx(0.1)
-    assert f'{family}{{quantile="0.5"}}' in samples
-    assert f'{family}{{quantile="0.99"}}' in samples
     assert validate_exposition(text) == []
+    samples = parse_exposition(text)
+    for family in DURATION_FAMILIES:
+        assert f"# TYPE {family} histogram" in text
+        assert samples[f"{family}_count"] >= 1
+        assert samples[f'{family}_bucket{{le="+Inf"}}'] == (
+            samples[f"{family}_count"]
+        )
+    assert "summary" not in text
 
 
 def test_histograms_render_cumulative_buckets():
@@ -128,7 +158,7 @@ def test_full_registry_round_trip_is_valid():
     metrics = Metrics()
     metrics.counter("state_space.states", 42)
     metrics.gauge("slices.shared_slice", 5)
-    metrics.observe("mcr.howard", 0.002)
+    metrics.histogram("mcr.howard_seconds", 0.002)
     metrics.histogram("service.attempt_seconds", 0.25)
     text = render_prometheus(metrics.snapshot())
     assert validate_exposition(text) == []

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs import Metrics, collecting
 from repro.obs.report import (
     REPORT_FORMAT,
     REPORT_VERSION,
@@ -16,7 +15,6 @@ from repro.obs.report import (
     read_report,
     write_report,
 )
-from repro.obs.trace import TraceBuffer
 
 
 class TestEnvironmentFingerprint:
@@ -45,35 +43,10 @@ class TestBuildReport:
         assert report["label"] == "smoke"
         assert "environment" in report
 
-    def test_metrics_snapshot_is_embedded(self):
-        with collecting(Metrics()) as metrics:
-            metrics.counter("engine.states", 3)
-        report = build_report("smoke", metrics=metrics.snapshot())
-        assert report["metrics"]["counters"]["engine.states"] == 3
-
-    def test_trace_buffer_becomes_a_summary(self):
-        buffer = TraceBuffer(clock=lambda: 0.0)
-        buffer.instant("engine", "tick")
-        report = build_report("smoke", trace=buffer)
-        assert report["trace"] == {
-            "events": 1,
-            "dropped": 0,
-            "categories": {"engine": 1},
-        }
-
-    def test_trace_summary_dict_passes_through(self):
-        summary = {"events": 0, "dropped": 0, "categories": {}}
-        assert build_report("smoke", trace=summary)["trace"] == summary
-
-    def test_budget_fields_are_recorded(self):
-        from repro.resilience.budget import Budget
-
-        budget = Budget(deadline=10.0, max_states=100)
-        budget.tick(5)
-        report = build_report("smoke", budget=budget)
-        assert report["budget"]["max_states"] == 100
-        assert report["budget"]["states_charged"] == 5
-        assert report["budget"]["deadline_seconds"] == 10.0
+    def test_only_result_seed_and_workloads_are_accepted(self):
+        for retired in ("metrics", "trace", "budget"):
+            with pytest.raises(TypeError):
+                build_report("smoke", **{retired: {}})
 
     def test_fraction_values_are_normalised(self):
         from fractions import Fraction
@@ -116,6 +89,17 @@ class TestReadWrite:
         path.write_text(json.dumps({"format": "something-else"}))
         with pytest.raises(ReportError, match="not a repro run report"):
             read_report(str(path))
+
+    def test_read_accepts_the_retired_metrics_trace_and_budget_keys(
+        self, tmp_path
+    ):
+        path = tmp_path / "older.json"
+        report = build_report("smoke")
+        report["metrics"] = {"counters": {"engine.states": 3}}
+        report["trace"] = {"events": 1, "dropped": 0, "categories": {}}
+        report["budget"] = {"max_states": 100, "states_charged": 5}
+        path.write_text(json.dumps(report))
+        assert read_report(str(path)) == report
 
     def test_read_rejects_unknown_versions(self, tmp_path):
         path = tmp_path / "future.json"

@@ -55,10 +55,9 @@ def test_started_service_keeps_no_engine_checkpoints(service):
 
 
 def test_metrics_snapshot_stays_bounded_over_computed_jobs(tmp_path):
-    """The registry holds aggregates only: once every timer reservoir
-    is full, more jobs leave the serialised snapshot the same size."""
-    from repro.obs.metrics import RESERVOIR_SIZE
-
+    """The registry holds aggregates only, durations in fixed-bucket
+    histograms: more jobs leave the serialised snapshot the same size."""
+    jobs_per_run = 128
     application, architecture = fast_request()
     service = AllocationService(str(tmp_path / "spool"), workers=1)
     jobs = 0
@@ -77,9 +76,9 @@ def test_metrics_snapshot_stays_bounded_over_computed_jobs(tmp_path):
     with collecting() as metrics:
         service.start()
         try:
-            run(RESERVOIR_SIZE)
+            run(jobs_per_run)
             after_n = len(to_json(metrics.snapshot()))
-            run(RESERVOIR_SIZE)
+            run(jobs_per_run)
             after_2n = len(to_json(metrics.snapshot()))
         finally:
             service.drain(cancel_running=True)

@@ -3,8 +3,9 @@
 One process-isolated daemon run must yield, for the same job:
 
 1. a **valid Prometheus scrape** over HTTP carrying the harvested
-   ``child.*`` counters and the queue-wait / attempt-latency histogram
-   families, and
+   ``child.*`` counters, the child's harvested
+   ``constrained.execute_seconds`` histogram and the queue-wait /
+   attempt-latency histogram families, and
 2. **one merged Chrome trace** with the service and the sandbox child
    on distinct pid lanes,
 
@@ -72,10 +73,12 @@ def test_process_isolated_daemon_exposes_child_telemetry(tmp_path):
             ]
             assert child_families, "no harvested child.* counters in scrape"
             assert samples["repro_service_telemetry_harvested_total"] >= 1
-            # both latency histogram families, with observations
+            # both latency histogram families and the child's engine
+            # durations (merged bucket by bucket), with observations
             for family in (
                 "repro_service_queue_wait_seconds",
                 "repro_service_attempt_seconds",
+                "repro_child_constrained_execute_seconds",
             ):
                 assert samples[f"{family}_count"] >= 1
                 assert any(

@@ -8,6 +8,7 @@ import pytest
 from repro.obs.trace import (
     DEFAULT_CAPACITY,
     NULL_TRACE,
+    PARENT_PID,
     NullTraceBuffer,
     TraceBuffer,
     TraceEvent,
@@ -15,6 +16,7 @@ from repro.obs.trace import (
     disable_trace,
     enable_trace,
     get_trace,
+    merged_chrome_trace,
     tracing,
     write_chrome_trace,
 )
@@ -174,6 +176,15 @@ class TestChromeExport:
         document = chrome_trace(events, process_name="custom")
         assert document["traceEvents"][0]["args"] == {"name": "custom"}
         assert document["traceEvents"][1]["ts"] == 0.0
+
+    def test_single_process_export_is_the_one_lane_merged_export(self):
+        buffer = TraceBuffer(clock=FakeClock())
+        buffer.complete("engine", "execute", 1.0, 1.5, states=3)
+        buffer.instant("checkpoint", "write", path="ck.json")
+        lane = {"name": "p", "pid": PARENT_PID, "events": buffer.events()}
+        assert json.dumps(chrome_trace(buffer, "p")) == json.dumps(
+            merged_chrome_trace([lane])
+        )
 
     def test_write_chrome_trace_is_valid_json(self, tmp_path):
         buffer = TraceBuffer(clock=FakeClock())

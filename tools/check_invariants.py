@@ -25,12 +25,15 @@ broken hook just silently never fires or the docs silently rot:
    covers every package, including ``repro/service``).  A point whose
    hook was deleted would otherwise stay registered forever, and soak
    tests targeting it would silently inject nothing.
-5. **Counters are documented.**  Every literal counter name passed to
-   a ``.counter("...")`` call under ``src/`` appears in the counter
-   catalogue table of ``docs/OBSERVABILITY.md`` (family prefix in the
-   first cell joined with each backticked suffix in the second).
+5. **Metric names are documented.**  Every literal name passed to a
+   ``.counter("...")`` call under ``src/`` appears in the counter
+   catalogue table of ``docs/OBSERVABILITY.md``, and every literal
+   name passed to ``.gauge``, ``.histogram`` or ``.timer`` (a timer
+   records one histogram observation) appears in its gauge and
+   histogram catalogue table (in both, the family prefix in the first
+   cell joined with each backticked suffix in the second).
    Dynamically composed names (f-strings) are skipped here and listed
-   in the catalogue with their expanded values by hand.
+   in the counter catalogue with their expanded values by hand.
 6. **Locks are registered.**  No bare ``threading.Lock()`` /
    ``threading.RLock()`` allocation exists under ``src/`` outside
    ``repro/obs/lockcheck.py`` (every lock must flow through
@@ -78,7 +81,7 @@ import ast
 import re
 import sys
 from pathlib import Path
-from typing import List, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src" / "repro"
@@ -158,11 +161,28 @@ def documented_events() -> Set[Tuple[str, str]]:
     return _catalogue_pairs("### Event catalogue")
 
 
-def documented_counters() -> Set[str]:
-    """Full dotted counter names from the OBSERVABILITY counter catalogue."""
+#: metric-recording method -> heading of the OBSERVABILITY catalogue
+#: that must list its literal names (a timer records a histogram)
+_METRIC_CATALOGUES = {
+    "counter": "Counter catalogue",
+    "gauge": "Gauge and histogram catalogue",
+    "histogram": "Gauge and histogram catalogue",
+    "timer": "Gauge and histogram catalogue",
+}
+
+
+def documented_metrics() -> Dict[str, Set[str]]:
+    """Full dotted metric names per recording method, from the catalogues."""
+    names = {
+        heading: {
+            f"{family}.{name}"
+            for family, name in _catalogue_pairs(f"### {heading}")
+        }
+        for heading in set(_METRIC_CATALOGUES.values())
+    }
     return {
-        f"{family}.{name}"
-        for family, name in _catalogue_pairs("### Counter catalogue")
+        method: names[heading]
+        for method, heading in _METRIC_CATALOGUES.items()
     }
 
 
@@ -183,7 +203,7 @@ def check_file(
     path: Path,
     fault_points: Set[str],
     events: Set[Tuple[str, str]],
-    counters: Set[str],
+    metrics: Dict[str, Set[str]],
     used_points: Set[str],
 ) -> List[str]:
     tree = ast.parse(path.read_text(), filename=str(path))
@@ -235,13 +255,13 @@ def check_file(
                         f"({pair[0]!r}, {pair[1]!r}) is not in the "
                         "docs/OBSERVABILITY.md event catalogue"
                     )
-            elif function.attr == "counter":
+            elif function.attr in metrics:
                 names = _string_args(node, 1)
-                if names and names[0] not in counters:
+                if names and names[0] not in metrics[function.attr]:
                     problems.append(
-                        f"{relative}:{node.lineno}: counter "
-                        f"{names[0]!r} is not in the "
-                        "docs/OBSERVABILITY.md counter catalogue"
+                        f"{relative}:{node.lineno}: {function.attr} "
+                        f"{names[0]!r} is not in the docs/OBSERVABILITY.md "
+                        f"{_METRIC_CATALOGUES[function.attr]!r} table"
                     )
     return problems
 
@@ -499,12 +519,12 @@ def check_durable_writes() -> List[str]:
 def main() -> int:
     fault_points = known_fault_points()
     events = documented_events()
-    counters = documented_counters()
+    metrics = documented_metrics()
     problems: List[str] = []
     used_points: Set[str] = set()
     for path in sorted(SRC.rglob("*.py")):
         problems.extend(
-            check_file(path, fault_points, events, counters, used_points)
+            check_file(path, fault_points, events, metrics, used_points)
         )
     for point in sorted(fault_points - used_points):
         problems.append(

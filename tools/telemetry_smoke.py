@@ -10,7 +10,8 @@ Run by ``make test-telemetry`` and the CI service job.  The script
 3. waits for the job to reach a terminal state,
 4. scrapes ``/metrics`` and validates the Prometheus exposition —
    format-level with :func:`repro.obs.prom.validate_exposition`, and
-   content-level: harvested ``repro_child_*`` counters and the
+   content-level: harvested ``repro_child_*`` counters, the child's
+   harvested constrained-exploration duration histogram and the
    queue-wait / attempt-latency histogram families must be present,
 5. fetches the merged ``/jobs/<id>/trace`` and checks the parent and
    the sandboxed child sit on distinct pid lanes of one Chrome trace,
@@ -162,6 +163,8 @@ def run(out_dir: str, keep_daemon_log: bool = True) -> List[str]:
         for family in (
             "repro_service_queue_wait_seconds",
             "repro_service_attempt_seconds",
+            # merged bucket by bucket from the sandbox child's registry
+            "repro_child_constrained_execute_seconds",
         ):
             if f"{family}_count" not in samples:
                 problems.append(f"histogram family {family} missing")
